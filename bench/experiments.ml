@@ -729,11 +729,10 @@ let chaos_json rows net_rows ~path =
       Out_channel.output_string oc (Buffer.contents b))
 
 let chaos scale =
-  Format.printf "@.== Chaos: randomized fault schedules (n=%d, f=%d) ==@.@."
-    scale.chaos_n
-    ((scale.chaos_n - 1) / 3);
   let n = scale.chaos_n in
-  let f = (n - 1) / 3 in
+  let f = (Bft_types.Validator_set.make n).Bft_types.Validator_set.f in
+  Format.printf "@.== Chaos: randomized fault schedules (n=%d, f=%d) ==@.@." n
+    f;
   let tasks =
     List.concat_map
       (fun protocol -> List.map (fun seed -> (protocol, seed)) scale.chaos_seeds)

@@ -181,6 +181,11 @@ let clients_spec =
     const make $ clients $ rate $ lanes $ lane_cap $ max_batch $ per_view
     $ clock)
 
+let net_modes =
+  [ ("threads", Bft_net.Tcp.Threads); ("procs", Bft_net.Tcp.Processes) ]
+
+let net_mode_name mode = fst (List.find (fun (_, m) -> m = mode) net_modes)
+
 let setup_logs verbose =
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
@@ -294,10 +299,6 @@ let fault_sched_conv =
   Arg.conv (parse, print)
 
 let run_net_cmd =
-  let mode_conv =
-    Arg.enum
-      [ ("threads", Bft_net.Tcp.Threads); ("procs", Bft_net.Tcp.Processes) ]
-  in
   let clock_conv =
     Arg.enum
       [
@@ -323,7 +324,7 @@ let run_net_cmd =
   let mode =
     Arg.(
       value
-      & opt mode_conv Bft_net.Tcp.Threads
+      & opt (Arg.enum net_modes) Bft_net.Tcp.Threads
       & info [ "mode" ] ~docv:"MODE"
           ~doc:
             "Execution mode: $(b,threads) runs every validator as a thread \
@@ -358,9 +359,10 @@ let run_net_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "After the run, assert cluster sanity: target reached, dense \
-             per-node commit heights, all nodes agree on their common \
-             prefix.  Exit non-zero on violation.")
+            "After the run, assert cluster sanity: target reached, every \
+             node at the target height, dense commit heights on nodes that \
+             never restarted, no two nodes committing different blocks at \
+             one height.  Exit non-zero on violation.")
   in
   let faults =
     Arg.(
@@ -381,7 +383,7 @@ let run_net_cmd =
           ~doc:
             "How schedule times are read: $(b,wall) as milliseconds since \
              cluster start, $(b,views) as view numbers (the logical clock \
-             used by $(b,crossval-chaos)).")
+             used by $(b,crossval) $(b,--chaos)).")
   in
   let fault_seed =
     Arg.(
@@ -432,9 +434,7 @@ let run_net_cmd =
     let quorum = Net_harness.quorum ~n in
     let open Bft_net.Tcp in
     Format.printf "protocol        : %a (%s mode, n=%d)@." Protocol_kind.pp
-      protocol
-      (match mode with Threads -> "threads" | Processes -> "process")
-      n;
+      protocol (net_mode_name mode) n;
     Format.printf "target          : %d blocks per node -> %s in %.0f ms@."
       blocks
       (if r.reached_target then "reached" else "NOT reached")
@@ -489,26 +489,7 @@ let run_net_cmd =
     end;
     (if faulted then
        match Net_harness.net_liveness r ~delta with
-       | report ->
-           List.iter
-             (fun (rec_ : Bft_obs.Liveness.recovery) ->
-               Format.printf
-                 "recovery        : node %d down %.0f ms, %s@." rec_.node
-                 (rec_.recovered_at_ms -. rec_.crashed_at_ms)
-                 (match rec_.caught_up_at_ms with
-                 | Some t ->
-                     Printf.sprintf "caught up to height %d in %.0f ms"
-                       rec_.target_height
-                       (t -. rec_.recovered_at_ms)
-                 | None -> "never caught up"))
-             report.recoveries;
-           Format.printf
-             "liveness        : max quorum-commit gap %.0f ms (bound %.0f \
-              ms after last disruption)%s@."
-             report.max_quorum_gap_ms report.bound_ms
-             (match report.min_slack_ms with
-             | Some s -> Printf.sprintf ", min check slack %.0f ms" s
-             | None -> "")
+       | report -> Format.printf "%a@." Bft_obs.Liveness.pp_report report
        | exception Bft_obs.Liveness.Violation msg ->
            Format.printf "liveness        : VIOLATION (%s)@." msg;
            if check then exit 1);
@@ -536,21 +517,12 @@ let run_net_cmd =
         close_out oc;
         Format.printf "trace           : %d events -> %s@." (List.length lines)
           path);
-    if check then begin
-      let verdict =
-        if FS.crash_count faults > 0 then
-          (* A crashed node loses uncommitted progress, so heights are
-             not dense per node; chaos sanity checks prefix agreement
-             and recovery instead. *)
-          Net_harness.check_chaos r ~target:blocks
-        else Net_harness.check r ~target:blocks
-      in
-      match verdict with
+    if check then
+      match Net_harness.check r ~target:blocks with
       | Ok () -> Format.printf "check           : OK@."
       | Error reason ->
           Format.printf "check           : FAILED (%s)@." reason;
           exit 1
-    end
   in
   let term =
     Term.(
@@ -594,206 +566,123 @@ let crossval_cmd =
   let blocks =
     Arg.(
       value & opt int 10
-      & info [ "blocks" ] ~docv:"K" ~doc:"Number of commits to compare.")
+      & info [ "blocks" ] ~docv:"K"
+          ~doc:
+            "Number of commits to compare (raised past the schedule's last \
+             anchor under $(b,--chaos)).")
   in
-  let run verbose protocol n blocks payload =
+  let chaos =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "chaos" ] ~docv:"SEED"
+          ~doc:
+            "Draw a random fault schedule anchored to view numbers from \
+             SEED and replay it on the simulator and on threads- and \
+             process-mode clusters.")
+  in
+  let clients =
+    Arg.(
+      value & flag
+      & info [ "clients" ]
+          ~doc:
+            "Feed the same seeded client stream (100k clients, $(b,views) \
+             ingest clock, 32 commands per view) through both substrates \
+             and print each side's client summary.")
+  in
+  let run verbose protocol n blocks payload chaos_seed clients =
     setup_logs verbose;
-    let cv =
-      Net_harness.cross_validate ~n ~payload_bytes:payload ~protocol ~blocks ()
+    let clients =
+      if clients then Some Net_harness.crossval_clients else None
     in
+    let cv =
+      Net_harness.cross_validate ~n ~payload_bytes:payload ?chaos_seed
+        ?clients ~protocol ~blocks ()
+    in
+    let runs = cv.Net_harness.runs in
     Format.printf "protocol : %a (n=%d, %d blocks)@." Protocol_kind.pp protocol
-      n blocks;
-    List.iter2
-      (fun (s : Net_harness.commit_id) (t : Net_harness.commit_id) ->
-        Format.printf
-          "height %2d: sim view %d hash %016Lx | net view %d hash %016Lx %s@."
-          s.Net_harness.height s.view s.hash t.view t.hash
-          (if s = t then "" else "<- MISMATCH"))
-      cv.Net_harness.sim_commits cv.Net_harness.net_commits;
-    if cv.Net_harness.agree then
-      Format.printf "crossval : OK — substrates agree on all %d commits@."
-        blocks
+      n cv.blocks;
+    if chaos_seed <> None then
+      Format.printf "schedule : %s (times are view numbers)@."
+        (Bft_faults.Fault_schedule.to_string cv.schedule);
+    Option.iter (Format.printf "spec     : %a@." Bft_mempool.Spec.pp) clients;
+    Option.iter
+      (Format.printf "sim      :@.%a@." Bft_mempool.Ingest.pp_summary)
+      cv.sim_clients;
+    List.iter
+      (fun (r : Net_harness.net_run) ->
+        let label = net_mode_name r.mode in
+        Option.iter
+          (Format.printf "%-8s :@.%a@." label Bft_mempool.Ingest.pp_summary)
+          r.clients;
+        Option.iter
+          (Format.printf "%-8s :@.%a@." label Bft_obs.Liveness.pp_report)
+          r.liveness)
+      runs;
+    List.iteri
+      (fun i (s : Net_harness.commit_id) ->
+        Format.printf "height %2d: sim view %d hash %016Lx" s.height s.view
+          s.hash;
+        let ts =
+          List.map (fun (r : Net_harness.net_run) -> List.nth r.chain i) runs
+        in
+        List.iter2
+          (fun (r : Net_harness.net_run) (t : Net_harness.commit_id) ->
+            Format.printf " | %s view %d hash %016Lx" (net_mode_name r.mode)
+              t.view t.hash)
+          runs ts;
+        Format.printf "%s@."
+          (if List.for_all (( = ) s) ts then "" else " <- MISMATCH"))
+      cv.sim_chain;
+    if cv.agree then
+      Format.printf "crossval : OK — %d substrate runs agree on all %d commits@."
+        (1 + List.length runs) cv.blocks
     else begin
-      Format.printf "crossval : FAILED — commit sequences differ@.";
+      Format.printf "crossval : FAILED — committed chains differ@.";
       exit 1
     end
   in
   let term =
     Term.(
-      const run $ verbose $ protocol $ nodes ~default:4 $ blocks $ payload)
+      const run $ verbose $ protocol $ nodes ~default:4 $ blocks $ payload
+      $ chaos $ clients)
   in
   let man =
     [
       `S Manpage.s_description;
       `P
-        "Replays the same fault-free round-robin schedule on both \
-         execution substrates — the discrete-event simulator and a \
-         localhost TCP cluster — and asserts that node 0 commits the \
-         identical sequence of (height, view, hash) triples on both.  On \
-         the happy path with a generous Delta no timeout ever fires, so \
-         the committed chain is a pure function of the protocol: any \
+        "Runs the same world on both execution substrates — the \
+         discrete-event simulator and localhost TCP clusters — and asserts \
+         that node 0 commits the identical sequence of (height, view, hash) \
+         triples on each.  By default the schedule is fault-free and \
+         round-robin: with a generous Delta no timeout ever fires, so the \
+         committed chain is a pure function of the protocol and any \
          divergence is a bug in a codec or a transport, not timing.";
+      `P
+        "$(b,--chaos) adds one crash/recover cycle and one partition window \
+         anchored to view numbers, replayed on the simulator, a threads-mode \
+         cluster and a fork-per-validator cluster whose victim dies by \
+         SIGKILL and rebuilds from its write-ahead log.  A divergence is a \
+         bug in fault injection, WAL recovery, Sync catch-up or a codec.";
+      `P
+        "$(b,--clients) feeds one seeded client stream through the mempool \
+         on both substrates.  Blocks carry only batch references, so chain \
+         agreement means every command landed in the same block on both.";
       `S Manpage.s_examples;
       `Pre
         "  # Default: commit-moonshot, 4 nodes, first 10 commits\n\
         \  moonshot crossval\n\n\
-        \  # All five protocols\n\
-        \  for p in SM PM CM J HS; do moonshot crossval -p $p; done";
+        \  # All five protocols, fault-free, under chaos, with clients\n\
+        \  for p in SM PM CM J HS; do\n\
+        \    moonshot crossval -p $p\n\
+        \    moonshot crossval -p $p --chaos 11\n\
+        \    moonshot crossval -p $p --clients\n\
+        \  done";
     ]
   in
   Cmd.v
     (Cmd.info "crossval"
-       ~doc:"Cross-validate simulator against TCP substrate" ~man)
-    term
-
-let crossval_chaos_cmd =
-  let seed =
-    Arg.(
-      value & opt int 7
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:"Seed for drawing the random logical fault schedule.")
-  in
-  let run verbose protocol n seed =
-    setup_logs verbose;
-    let module FS = Bft_faults.Fault_schedule in
-    let cv = Net_harness.cross_validate_chaos ~n ~seed ~protocol () in
-    Format.printf "protocol : %a (n=%d, %d blocks)@." Protocol_kind.pp protocol
-      n cv.Net_harness.blocks;
-    Format.printf "schedule : %s (times are view numbers)@."
-      (FS.to_string cv.Net_harness.schedule);
-    let print_liveness label (report : Bft_obs.Liveness.report) =
-      List.iter
-        (fun (rec_ : Bft_obs.Liveness.recovery) ->
-          Format.printf "%s : node %d down %.0f ms, %s@." label rec_.node
-            (rec_.recovered_at_ms -. rec_.crashed_at_ms)
-            (match rec_.caught_up_at_ms with
-            | Some t ->
-                Printf.sprintf "caught up to height %d in %.0f ms"
-                  rec_.target_height
-                  (t -. rec_.recovered_at_ms)
-            | None -> "NEVER CAUGHT UP"))
-        report.recoveries;
-      Format.printf "%s : max quorum-commit gap %.0f ms (bound %.0f ms)%s@."
-        label report.max_quorum_gap_ms report.bound_ms
-        (match report.min_slack_ms with
-        | Some s -> Printf.sprintf ", min check slack %.0f ms" s
-        | None -> "")
-    in
-    print_liveness "threads " cv.Net_harness.thread_liveness;
-    print_liveness "procs   " cv.Net_harness.process_liveness;
-    if cv.Net_harness.agree then
-      Format.printf
-        "crossval : OK — sim, thread and process runs agree on all %d \
-         commits@."
-        cv.Net_harness.blocks
-    else begin
-      let show chain =
-        String.concat " "
-          (List.map
-             (fun (c : Net_harness.commit_id) ->
-               Printf.sprintf "%d@%d" c.height c.view)
-             chain)
-      in
-      Format.printf "sim     : %s@." (show cv.Net_harness.sim_chain);
-      Format.printf "threads : %s@." (show cv.Net_harness.thread_chain);
-      Format.printf "procs   : %s@." (show cv.Net_harness.process_chain);
-      Format.printf "crossval : FAILED — committed chains differ@.";
-      exit 1
-    end
-  in
-  let term =
-    Term.(const run $ verbose $ protocol $ nodes ~default:4 $ seed)
-  in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Draws a random fault schedule anchored to $(i,view numbers) — one \
-         crash/recover cycle plus one partition window — and replays it on \
-         all three execution substrates: the discrete-event simulator, a \
-         threads-mode TCP cluster and a fork-per-validator TCP cluster.  \
-         Because every trigger is a function of protocol state rather than \
-         wall time, all three runs must commit the identical (height, \
-         view, hash) chain; any divergence is a bug in fault injection, \
-         WAL recovery, Sync catch-up or a codec.";
-      `P
-        "The crash is a real kill: in process mode the victim dies by \
-         SIGKILL and is re-spawned, rebuilding its state from its \
-         write-ahead log and catching up over the wire.";
-      `S Manpage.s_examples;
-      `Pre
-        "  # Default: commit-moonshot, 4 nodes\n\
-        \  moonshot crossval-chaos\n\n\
-        \  # All five protocols, a different schedule\n\
-        \  for p in SM PM CM J HS; do moonshot crossval-chaos -p $p --seed \
-         11; done";
-    ]
-  in
-  Cmd.v
-    (Cmd.info "crossval-chaos"
-       ~doc:"Cross-validate chaotic runs across all substrates" ~man)
-    term
-
-let crossval_clients_cmd =
-  let blocks =
-    Arg.(
-      value & opt int 10
-      & info [ "blocks" ] ~docv:"K" ~doc:"Number of commits to compare.")
-  in
-  let run verbose protocol n blocks =
-    setup_logs verbose;
-    let cv = Net_harness.cross_validate_clients ~n ~protocol ~blocks () in
-    Format.printf "protocol : %a (n=%d, %d blocks)@." Protocol_kind.pp protocol
-      n blocks;
-    Format.printf "spec     : %a@." Bft_mempool.Spec.pp
-      cv.Net_harness.cc_spec;
-    Format.printf "sim      :@.%a@." Bft_mempool.Ingest.pp_summary
-      cv.Net_harness.cc_sim_summary;
-    Format.printf "net      :@.%a@." Bft_mempool.Ingest.pp_summary
-      cv.Net_harness.cc_net_summary;
-    if cv.Net_harness.cc_agree then
-      Format.printf
-        "crossval : OK — both substrates committed the same %d batches@."
-        blocks
-    else begin
-      List.iter2
-        (fun (s : Net_harness.commit_id) (t : Net_harness.commit_id) ->
-          Format.printf
-            "height %2d: sim view %d hash %016Lx | net view %d hash %016Lx \
-             %s@."
-            s.Net_harness.height s.view s.hash t.view t.hash
-            (if s = t then "" else "<- MISMATCH"))
-        cv.Net_harness.cc_sim_chain cv.Net_harness.cc_net_chain;
-      Format.printf "crossval : FAILED — committed chains differ@.";
-      exit 1
-    end
-  in
-  let term =
-    Term.(const run $ verbose $ protocol $ nodes ~default:4 $ blocks)
-  in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Feeds the same seeded client stream through the mempool on both \
-         execution substrates — the discrete-event simulator and a \
-         localhost TCP cluster — under the $(b,views) ingest clock, and \
-         asserts both commit the identical (height, view, hash) chain.  \
-         Because blocks carry only batch references (cursor, watermark, \
-         count) and contents are derived by commit-order replay, chain \
-         agreement means every command landed in the same block on both \
-         substrates.";
-      `S Manpage.s_examples;
-      `Pre
-        "  # Default: commit-moonshot, 4 nodes, first 10 batches\n\
-        \  moonshot crossval-clients\n\n\
-        \  # All five protocols\n\
-        \  for p in SM PM CM J HS; do moonshot crossval-clients -p $p; done";
-    ]
-  in
-  Cmd.v
-    (Cmd.info "crossval-clients"
-       ~doc:"Cross-validate client-traffic runs across substrates" ~man)
+       ~doc:"Cross-validate the simulator against the TCP substrate" ~man)
     term
 
 let table1_cmd =
@@ -1043,8 +932,6 @@ let () =
             run_cmd;
             run_net_cmd;
             crossval_cmd;
-            crossval_chaos_cmd;
-            crossval_clients_cmd;
             explore_cmd;
             table1_cmd;
             table2_cmd;

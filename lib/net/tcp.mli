@@ -168,6 +168,15 @@ type result = {
     is not a valid logical schedule. *)
 val run : (module Protocol_intf.S with type msg = 'm) -> config -> result
 
+(** [quorum_commits result ~quorum] — for every block committed by at
+    least [quorum] distinct nodes, the [quorum]-th of those nodes to commit
+    it, as [(node, commit)]: the commit's [c_time_ms] is the block's
+    quorum-commit time.  A node counts once per block, at its earliest
+    commit, even if it re-committed the block after a recovery.  Blocks
+    are identified by hash; the order of the list is unspecified.  Every
+    post-run analysis of a socket run derives quorum commits here. *)
+val quorum_commits : result -> quorum:int -> (int * commit) list
+
 (** [merged_trace result ~quorum] interleaves every node's trace lines
     into one time-sorted JSONL document and synthesizes the
     [quorum_commit] event for each block committed by at least [quorum]
@@ -178,6 +187,5 @@ val merged_trace : result -> quorum:int -> string list
 
 (** Per-block quorum-commit latency samples [(height, latency_ms)]:
     time from first proposal to the [quorum]-th node's commit, for
-    blocks that reached it.  A node counts at most once per block even
-    if it re-committed it after a recovery. *)
+    blocks that reached it (see {!quorum_commits}). *)
 val quorum_latencies : result -> quorum:int -> (int * float) list

@@ -168,3 +168,23 @@ let report (t : t) =
     bound_ms = bound t;
     min_slack_ms = (if Float.is_nan t.min_slack then None else Some t.min_slack);
   }
+
+let pp_report ppf r =
+  Format.pp_open_vbox ppf 0;
+  List.iter
+    (fun rc ->
+      Format.fprintf ppf "recovery        : node %d down %.0f ms, " rc.node
+        (rc.recovered_at_ms -. rc.crashed_at_ms);
+      (match rc.caught_up_at_ms with
+      | Some t ->
+          Format.fprintf ppf "caught up to height %d in %.0f ms"
+            rc.target_height (t -. rc.recovered_at_ms)
+      | None -> Format.fprintf ppf "never caught up");
+      Format.pp_print_cut ppf ())
+    r.recoveries;
+  Format.fprintf ppf
+    "liveness        : max quorum-commit gap %.0f ms (bound %.0f ms after \
+     last disruption)"
+    r.max_quorum_gap_ms r.bound_ms;
+  Option.iter (Format.fprintf ppf ", min check slack %.0f ms") r.min_slack_ms;
+  Format.pp_close_box ppf ()

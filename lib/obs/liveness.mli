@@ -74,3 +74,8 @@ type report = {
 }
 
 val report : t -> report
+
+(** One line per recovery (downtime and time to catch up) and one for the
+    largest post-GST quorum-commit gap against the bound, in a vertical
+    box with the column-aligned labels the command line uses. *)
+val pp_report : Format.formatter -> report -> unit

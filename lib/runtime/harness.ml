@@ -318,7 +318,7 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
             observer (node 0) passes the recovery anchor.  No wall-clock
             machinery runs, so the committed chain is a pure function of
             the protocol and the schedule — identical on simulator and
-            sockets ([crossval-chaos]). *)
+            sockets ([crossval --chaos]). *)
          let view_of id =
            match node_refs.(id) with
            | Some nd -> P.current_view nd
@@ -415,7 +415,7 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
                     recorded view and the block synchronizer refills the
                     store (the node catches up instead of re-voting). *)
                  let fresh = P.create ?wal:(wal_of node) (env_of node) in
-                 Bft_sim.Engine.set_handler engine node (P.handle fresh);
+                 install node fresh;
                  P.start fresh)
          | FS.Partition { from_; until; _ } ->
              window_edges from_ until Bft_obs.Trace.Partition_start

@@ -18,10 +18,9 @@ type t = {
 }
 
 let create ~n () =
-  let f = (n - 1) / 3 in
   {
     n;
-    quorum = (2 * f) + 1;
+    quorum = Validator_set.commit_quorum (Validator_set.make n);
     blocks = Hashtbl.create 1024;
     height_first = Hashtbl.create 1024;
     per_node_committed = Array.make n 0;

@@ -1,4 +1,5 @@
-let quorum ~n = n - ((n - 1) / 3)
+let quorum ~n =
+  Bft_types.Validator_set.commit_quorum (Bft_types.Validator_set.make n)
 
 let config kind ~n ~blocks =
   {
@@ -24,92 +25,53 @@ let run kind cfg =
 
 let check (result : Bft_net.Tcp.result) ~target =
   let open Bft_net.Tcp in
-  let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
-  if not result.reached_target then
-    fail "cluster did not reach %d blocks within the timeout" target
-  else
-    let problems =
-      Array.to_list result.nodes
-      |> List.filter_map (fun nr ->
-             let k = List.length nr.commits in
-             if k < target then
-               Some
-                 (Printf.sprintf "node %d committed only %d/%d blocks" nr.id k
-                    target)
-             else
-               List.find_mapi
-                 (fun i c ->
-                   if c.c_height <> i + 1 then
-                     Some
-                       (Printf.sprintf
-                          "node %d: commit %d has height %d, expected %d"
-                          nr.id i c.c_height (i + 1))
-                   else None)
-                 nr.commits)
-    in
-    match problems with
-    | p :: _ -> Error p
-    | [] -> (
-        (* Pairwise common-prefix agreement against node 0. *)
-        let hashes nr =
-          Array.of_list (List.map (fun c -> c.c_hash) nr.commits)
-        in
-        let h0 = hashes result.nodes.(0) in
-        let disagrees =
-          Array.to_list result.nodes
-          |> List.find_map (fun nr ->
-                 let h = hashes nr in
-                 let common = min (Array.length h0) (Array.length h) in
-                 let rec scan i =
-                   if i >= common then None
-                   else if h.(i) <> h0.(i) then
-                     Some
-                       (Printf.sprintf
-                          "nodes 0 and %d disagree at height %d: %Lx vs %Lx"
-                          nr.id (i + 1) h0.(i) h.(i))
-                   else scan (i + 1)
-                 in
-                 scan 0)
-        in
-        match disagrees with Some p -> Error p | None -> Ok ())
-
-let check_chaos (result : Bft_net.Tcp.result) ~target =
-  let open Bft_net.Tcp in
-  let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
-  if not result.reached_target then
-    fail "cluster did not reach %d blocks within the timeout" target
-  else begin
-    (* A recovered node's commit log is not dense (pre-crash commits may
-       be lost with the incarnation, catch-up re-commits others), so the
-       chaos variant of {!check} asserts only what holds under crashes:
-       every node reached the target height, and no two nodes ever
-       committed different hashes at the same height. *)
-    let seen : (int, int * int64) Hashtbl.t = Hashtbl.create 64 in
-    let problem = ref None in
-    Array.iter
-      (fun nr ->
-        let top = List.fold_left (fun a c -> max a c.c_height) 0 nr.commits in
-        if top < target && !problem = None then
-          problem :=
+  (* A recovered node's commit log is not dense (pre-crash commits die with
+     a process-mode incarnation, catch-up re-commits heights), so density
+     is asserted only for nodes that never restarted. *)
+  let node_problem nr =
+    let top = List.fold_left (fun a c -> max a c.c_height) 0 nr.commits in
+    if top < target then
+      Some
+        (Printf.sprintf "node %d topped out at height %d/%d" nr.id top target)
+    else if nr.restarts > 0 then None
+    else
+      List.find_mapi
+        (fun i c ->
+          if c.c_height = i + 1 then None
+          else
             Some
-              (Printf.sprintf "node %d topped out at height %d/%d" nr.id top
-                 target);
-        List.iter
-          (fun c ->
-            match Hashtbl.find_opt seen c.c_height with
-            | Some (id0, h0) when h0 <> c.c_hash ->
-                if !problem = None then
-                  problem :=
-                    Some
-                      (Printf.sprintf
-                         "nodes %d and %d disagree at height %d: %Lx vs %Lx"
-                         id0 nr.id c.c_height h0 c.c_hash)
-            | Some _ -> ()
-            | None -> Hashtbl.add seen c.c_height (nr.id, c.c_hash))
-          nr.commits)
-      result.nodes;
-    match !problem with Some p -> Error p | None -> Ok ()
-  end
+              (Printf.sprintf "node %d: commit %d has height %d, expected %d"
+                 nr.id i c.c_height (i + 1)))
+        nr.commits
+  in
+  let seen : (int, int * int64) Hashtbl.t = Hashtbl.create 64 in
+  let fork nr =
+    List.find_map
+      (fun c ->
+        match Hashtbl.find_opt seen c.c_height with
+        | Some (id0, h0) when h0 <> c.c_hash ->
+            Some
+              (Printf.sprintf
+                 "nodes %d and %d disagree at height %d: %Lx vs %Lx" id0 nr.id
+                 c.c_height h0 c.c_hash)
+        | Some _ -> None
+        | None ->
+            Hashtbl.add seen c.c_height (nr.id, c.c_hash);
+            None)
+      nr.commits
+  in
+  let nodes = Array.to_list result.nodes in
+  let problem =
+    if not result.reached_target then
+      Some
+        (Printf.sprintf "cluster did not reach %d blocks within the timeout"
+           target)
+    else
+      match List.find_map node_problem nodes with
+      | Some p -> Some p
+      | None -> List.find_map fork nodes
+  in
+  match problem with Some p -> Error p | None -> Ok ()
 
 let net_liveness (result : Bft_net.Tcp.result) ~delta =
   let open Bft_net.Tcp in
@@ -149,42 +111,12 @@ let net_liveness (result : Bft_net.Tcp.result) ~delta =
                 ~height:c.c_height))
         nr.commits)
     result.nodes;
-  (* Quorum commits: the time the [quorum]-th distinct node first commits
-     a given (height, hash). *)
-  let q = quorum ~n in
-  let firsts : (int * int64, (int, float) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  Array.iter
-    (fun nr ->
-      List.iter
-        (fun c ->
-          let key = (c.c_height, c.c_hash) in
-          let m =
-            match Hashtbl.find_opt firsts key with
-            | Some m -> m
-            | None ->
-                let m = Hashtbl.create 8 in
-                Hashtbl.add firsts key m;
-                m
-          in
-          match Hashtbl.find_opt m nr.id with
-          | Some t when t <= c.c_time_ms -> ()
-          | _ -> Hashtbl.replace m nr.id c.c_time_ms)
-        nr.commits)
-    result.nodes;
-  Hashtbl.iter
-    (fun (height, hash) m ->
-      let times =
-        Hashtbl.fold (fun _ t acc -> t :: acc) m []
-        |> List.sort Float.compare
-      in
-      if List.length times >= q then
-        let t = List.nth times (q - 1) in
-        add t 2 (fun () ->
-            Bft_obs.Liveness.note_quorum_commit mon ~time:t ~height
-              ~hash:(Int64.to_int hash)))
-    firsts;
+  List.iter
+    (fun (_, qc) ->
+      add qc.c_time_ms 2 (fun () ->
+          Bft_obs.Liveness.note_quorum_commit mon ~time:qc.c_time_ms
+            ~height:qc.c_height ~hash:(Int64.to_int qc.c_hash)))
+    (quorum_commits result ~quorum:(quorum ~n));
   List.iter
     (fun (_, _, run) -> run ())
     (List.sort
@@ -201,151 +133,92 @@ let net_liveness (result : Bft_net.Tcp.result) ~delta =
 let client_stats (result : Bft_net.Tcp.result) ~spec ~view_ms =
   let open Bft_net.Tcp in
   let n = Array.length result.nodes in
-  let q = quorum ~n in
-  (* Quorum-commit time per height: the [q]-th smallest first-commit
-     time across nodes (client-traffic runs are fault-free, so heights
-     identify blocks). *)
-  let firsts : (int, (int, float) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun nr ->
-      List.iter
-        (fun c ->
-          let m =
-            match Hashtbl.find_opt firsts c.c_height with
-            | Some m -> m
-            | None ->
-                let m = Hashtbl.create 8 in
-                Hashtbl.add firsts c.c_height m;
-                m
-          in
-          match Hashtbl.find_opt m nr.id with
-          | Some t when t <= c.c_time_ms -> ()
-          | _ -> Hashtbl.replace m nr.id c.c_time_ms)
-        nr.commits)
-    result.nodes;
-  let quorum_time height =
-    match Hashtbl.find_opt firsts height with
-    | None -> None
-    | Some m ->
-        let times =
-          Hashtbl.fold (fun _ t acc -> t :: acc) m []
-          |> List.sort Float.compare
-        in
-        if List.length times >= q then Some (List.nth times (q - 1)) else None
-  in
-  (* Replay node 0's chain (deduped by height, commit order = chain
-     order) through a fresh ingestion site: the commit records carry the
-     packed batch references, which is all the replayer needs to rebuild
-     every command and its end-to-end latency. *)
+  let quorum_time : (int64, float) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun (_, qc) -> Hashtbl.replace quorum_time qc.c_hash qc.c_time_ms)
+    (quorum_commits result ~quorum:(quorum ~n));
+  (* Replay node 0's chain (commit order = chain order) through a fresh
+     ingestion site, each block once: the commit records carry the packed
+     batch references, which is all the replayer needs to rebuild every
+     command and its end-to-end latency. *)
   let ing = Bft_mempool.Ingest.create ~spec ~n ~view_ms () in
-  let seen = Hashtbl.create 64 in
   List.iter
     (fun c ->
-      if not (Hashtbl.mem seen c.c_height) then begin
-        Hashtbl.add seen c.c_height ();
-        match quorum_time c.c_height with
-        | None -> ()
-        | Some t ->
-            let payload =
-              Bft_types.Payload.make ~id:c.c_payload_id
-                ~size_bytes:c.c_payload_bytes
-            in
-            ignore (Bft_mempool.Ingest.on_quorum_commit ing ~payload ~time:t)
-      end)
+      match Hashtbl.find_opt quorum_time c.c_hash with
+      | None -> ()
+      | Some t ->
+          Hashtbl.remove quorum_time c.c_hash;
+          let payload =
+            Bft_types.Payload.make ~id:c.c_payload_id
+              ~size_bytes:c.c_payload_bytes
+          in
+          ignore (Bft_mempool.Ingest.on_quorum_commit ing ~payload ~time:t))
     result.nodes.(0).commits;
   Bft_mempool.Ingest.summary ing
 
 type commit_id = { height : int; view : int; hash : int64 }
 
-type crossval = {
-  sim_commits : commit_id list;
-  net_commits : commit_id list;
-  agree : bool;
+type net_run = {
+  mode : Bft_net.Tcp.mode;
+  chain : commit_id list;
+  liveness : Bft_obs.Liveness.report option;
+  clients : Bft_mempool.Ingest.summary option;
 }
 
-let cross_validate ?(n = 4) ?(payload_bytes = 0) ~protocol ~blocks () =
-  (* Simulator side: the happy-path local config, long enough for [blocks]
-     commits at node 0 with room to spare. *)
-  let sim_cfg =
-    {
-      (Config.local protocol ~n) with
-      Config.payload_bytes;
-      duration_ms = 5_000. +. (float_of_int blocks *. 200.);
-    }
-  in
-  let sim_acc = ref [] in
-  let (_ : Harness.run_result) =
-    Harness.run
-      ~on_commit:(fun ~node b ->
-        if node = 0 then
-          sim_acc :=
-            {
-              height = b.Bft_types.Block.height;
-              view = b.Bft_types.Block.view;
-              hash = Bft_types.Hash.to_int64 b.Bft_types.Block.hash;
-            }
-            :: !sim_acc)
-      sim_cfg
-  in
-  let take k l = List.filteri (fun i _ -> i < k) l in
-  let sim_commits = take blocks (List.rev !sim_acc) in
-  if List.length sim_commits < blocks then
-    failwith
-      (Printf.sprintf "crossval: simulator committed only %d/%d blocks"
-         (List.length sim_commits) blocks);
-  (* Socket side: same n, same round-robin schedule, same payloads; delta
-     large enough that localhost never times out. *)
-  let net_cfg =
-    { (config protocol ~n ~blocks) with Bft_net.Tcp.payload_bytes }
-  in
-  let result = run protocol net_cfg in
-  let net_commits =
-    take blocks
-      (List.map
-         (fun c ->
-           {
-             height = c.Bft_net.Tcp.c_height;
-             view = c.Bft_net.Tcp.c_view;
-             hash = c.Bft_net.Tcp.c_hash;
-           })
-         result.Bft_net.Tcp.nodes.(0).Bft_net.Tcp.commits)
-  in
-  if List.length net_commits < blocks then
-    failwith
-      (Printf.sprintf "crossval: TCP cluster committed only %d/%d blocks"
-         (List.length net_commits) blocks);
-  { sim_commits; net_commits; agree = sim_commits = net_commits }
-
-type chaos_crossval = {
+type crossval = {
   schedule : Bft_faults.Fault_schedule.t;
   blocks : int;
   sim_chain : commit_id list;
-  thread_chain : commit_id list;
-  process_chain : commit_id list;
+  sim_clients : Bft_mempool.Ingest.summary option;
+  runs : net_run list;
   agree : bool;
-  thread_liveness : Bft_obs.Liveness.report;
-  process_liveness : Bft_obs.Liveness.report;
 }
 
-let cross_validate_chaos ?(n = 4) ?(seed = 7) ~protocol () =
-  let rng = Bft_sim.Rng.create seed in
-  let schedule = Bft_faults.Logical.random ~rng ~n in
-  let lg = Bft_faults.Logical.of_schedule_exn ~n schedule in
-  (* Run well past the last anchor so the recovered node's catch-up and
-     the healed partition both sit inside the compared prefix. *)
-  let blocks = Bft_faults.Logical.last_anchor lg + 8 in
-  let take k l = List.filteri (fun i _ -> i < k) l in
-  (* Simulator, view-clock interpretation. *)
-  let sim_cfg =
-    {
-      (Config.local protocol ~n) with
-      Config.faults = schedule;
-      logical_faults = true;
-      duration_ms = 10_000. +. (float_of_int blocks *. 300.);
-    }
+let crossval_clients =
+  {
+    Bft_mempool.Spec.default with
+    Bft_mempool.Spec.clients = 100_000;
+    clock = Bft_mempool.Spec.Views;
+    per_view = 32;
+  }
+
+let cross_validate ?(n = 4) ?(payload_bytes = 0) ?chaos_seed ?clients
+    ~protocol ~blocks () =
+  (match (clients, chaos_seed) with
+  | Some { Bft_mempool.Spec.clock = Bft_mempool.Spec.Wall; _ }, _ ->
+      invalid_arg
+        "cross_validate: the client spec must use the Views ingest clock \
+         (Wall-clock watermarks are substrate-dependent)"
+  | Some _, Some _ ->
+      invalid_arg
+        "cross_validate: a fault schedule and client traffic do not combine"
+  | _ -> ());
+  let schedule, blocks =
+    match chaos_seed with
+    | None -> (Bft_faults.Fault_schedule.empty, blocks)
+    | Some seed ->
+        let schedule =
+          Bft_faults.Logical.random ~rng:(Bft_sim.Rng.create seed) ~n
+        in
+        (* Run well past the last anchor so the recovered node's catch-up
+           and the healed partition both sit inside the compared prefix. *)
+        let lg = Bft_faults.Logical.of_schedule_exn ~n schedule in
+        (schedule, max blocks (Bft_faults.Logical.last_anchor lg + 8))
   in
+  let chaos = chaos_seed <> None in
+  let prefix what commits =
+    let chain = List.filteri (fun i _ -> i < blocks) commits in
+    if List.length chain < blocks then
+      failwith
+        (Printf.sprintf "crossval: %s committed only %d/%d blocks" what
+           (List.length chain) blocks);
+    chain
+  in
+  (* Simulator: the happy-path local config, long enough for [blocks]
+     commits at node 0 with room to spare (more under a schedule, whose
+     dead-leader views stall for delta). *)
   let sim_acc = ref [] in
-  let (_ : Harness.run_result) =
+  let sim =
     Harness.run
       ~on_commit:(fun ~node b ->
         if node = 0 then
@@ -356,154 +229,88 @@ let cross_validate_chaos ?(n = 4) ?(seed = 7) ~protocol () =
               hash = Bft_types.Hash.to_int64 b.Bft_types.Block.hash;
             }
             :: !sim_acc)
-      sim_cfg
+      {
+        (Config.local protocol ~n) with
+        Config.payload_bytes;
+        faults = schedule;
+        logical_faults = chaos;
+        clients;
+        duration_ms =
+          (if chaos then 10_000. +. (float_of_int blocks *. 300.)
+           else 5_000. +. (float_of_int blocks *. 200.));
+      }
   in
-  let sim_chain = take blocks (List.rev !sim_acc) in
-  if List.length sim_chain < blocks then
-    failwith
-      (Printf.sprintf "crossval-chaos: simulator committed only %d/%d blocks"
-         (List.length sim_chain) blocks);
-  (* Sockets, same schedule on the same clock, in both execution modes.
-     The link delay keeps view duration well above restart-and-redial
-     time so a recovering incarnation never misses its leader slot. *)
+  let sim_chain = prefix "simulator" (List.rev !sim_acc) in
+  (* Sockets: same n, round-robin schedule, payloads and client stream;
+     the default delta is large enough that localhost never times out. *)
   let net_run mode =
     let cfg =
       {
         (config protocol ~n ~blocks) with
         Bft_net.Tcp.mode;
-        (* Views with a dead or partitioned leader stall for delta; keep
-           it well above a paced view (~3 hops) but far below the 1 s
-           fault-free default so stalls stay cheap. *)
-        delta_ms = 500.;
-        faults = schedule;
-        fault_clock = Bft_net.Fault_plane.Views;
-        fault_seed = seed;
-        link_delay_ms = 20.;
+        payload_bytes;
+        clients;
       }
     in
-    let result = run protocol cfg in
-    (match check_chaos result ~target:blocks with
-    | Ok () -> ()
-    | Error e ->
-        failwith (Printf.sprintf "crossval-chaos (%s): %s"
-            (match mode with
-            | Bft_net.Tcp.Threads -> "threads"
-            | Bft_net.Tcp.Processes -> "processes")
-            e));
-    let chain =
-      take blocks
-        (List.map
-           (fun c ->
-             {
-               height = c.Bft_net.Tcp.c_height;
-               view = c.Bft_net.Tcp.c_view;
-               hash = c.Bft_net.Tcp.c_hash;
-             })
-           result.Bft_net.Tcp.nodes.(0).Bft_net.Tcp.commits)
+    let cfg =
+      match chaos_seed with
+      | None -> cfg
+      | Some seed ->
+          {
+            cfg with
+            (* Views with a dead or partitioned leader stall for delta;
+               keep it well above a paced view (~3 hops) but far below
+               the fault-free 1 s so stalls stay cheap.  The link delay
+               keeps view duration well above restart-and-redial time so
+               a recovering incarnation never misses its leader slot. *)
+            delta_ms = 500.;
+            faults = schedule;
+            fault_clock = Bft_net.Fault_plane.Views;
+            fault_seed = seed;
+            link_delay_ms = 20.;
+          }
     in
-    (chain, net_liveness result ~delta:cfg.Bft_net.Tcp.delta_ms)
+    let what =
+      match mode with
+      | Bft_net.Tcp.Threads -> "TCP cluster (threads)"
+      | Bft_net.Tcp.Processes -> "TCP cluster (processes)"
+    in
+    let result = run protocol cfg in
+    (match check result ~target:blocks with
+    | Ok () -> ()
+    | Error e -> failwith (Printf.sprintf "crossval: %s: %s" what e));
+    {
+      mode;
+      chain =
+        prefix what
+          (List.map
+             (fun c ->
+               {
+                 height = c.Bft_net.Tcp.c_height;
+                 view = c.Bft_net.Tcp.c_view;
+                 hash = c.Bft_net.Tcp.c_hash;
+               })
+             result.Bft_net.Tcp.nodes.(0).Bft_net.Tcp.commits);
+      liveness =
+        Option.map
+          (fun _ -> net_liveness result ~delta:cfg.Bft_net.Tcp.delta_ms)
+          chaos_seed;
+      clients =
+        Option.map
+          (fun spec ->
+            client_stats result ~spec ~view_ms:cfg.Bft_net.Tcp.delta_ms)
+          clients;
+    }
   in
-  let thread_chain, thread_liveness = net_run Bft_net.Tcp.Threads in
-  let process_chain, process_liveness = net_run Bft_net.Tcp.Processes in
+  let runs =
+    List.map net_run
+      (Bft_net.Tcp.Threads :: (if chaos then [ Bft_net.Tcp.Processes ] else []))
+  in
   {
     schedule;
     blocks;
     sim_chain;
-    thread_chain;
-    process_chain;
-    agree = sim_chain = thread_chain && sim_chain = process_chain;
-    thread_liveness;
-    process_liveness;
-  }
-
-type client_crossval = {
-  cc_spec : Bft_mempool.Spec.t;
-  cc_blocks : int;
-  cc_sim_chain : commit_id list;
-  cc_net_chain : commit_id list;
-  cc_agree : bool;
-  cc_sim_summary : Bft_mempool.Ingest.summary;
-  cc_net_summary : Bft_mempool.Ingest.summary;
-}
-
-let cross_validate_clients ?(n = 4) ?spec ~protocol ~blocks () =
-  let spec =
-    match spec with
-    | Some s -> s
-    | None ->
-        {
-          Bft_mempool.Spec.default with
-          Bft_mempool.Spec.clients = 100_000;
-          clock = Bft_mempool.Spec.Views;
-          per_view = 32;
-        }
-  in
-  if spec.Bft_mempool.Spec.clock <> Bft_mempool.Spec.Views then
-    invalid_arg
-      "cross_validate_clients: the spec must use the Views ingest clock \
-       (Wall-clock watermarks are substrate-dependent)";
-  let take k l = List.filteri (fun i _ -> i < k) l in
-  (* Simulator side. *)
-  let sim_cfg =
-    {
-      (Config.local protocol ~n) with
-      Config.clients = Some spec;
-      duration_ms = 5_000. +. (float_of_int blocks *. 200.);
-    }
-  in
-  let sim_acc = ref [] in
-  let sim_res =
-    Harness.run
-      ~on_commit:(fun ~node b ->
-        if node = 0 then
-          sim_acc :=
-            {
-              height = b.Bft_types.Block.height;
-              view = b.Bft_types.Block.view;
-              hash = Bft_types.Hash.to_int64 b.Bft_types.Block.hash;
-            }
-            :: !sim_acc)
-      sim_cfg
-  in
-  let sim_chain = take blocks (List.rev !sim_acc) in
-  if List.length sim_chain < blocks then
-    failwith
-      (Printf.sprintf "crossval-clients: simulator committed only %d/%d blocks"
-         (List.length sim_chain) blocks);
-  let cc_sim_summary =
-    match sim_res.Harness.client_summary with
-    | Some s -> s
-    | None -> assert false
-  in
-  (* Socket side: same spec — under the Views clock every cut is a pure
-     function of the view, so the chains must be bit-identical. *)
-  let net_cfg =
-    { (config protocol ~n ~blocks) with Bft_net.Tcp.clients = Some spec }
-  in
-  let result = run protocol net_cfg in
-  (match check result ~target:blocks with
-  | Ok () -> ()
-  | Error e -> failwith ("crossval-clients: " ^ e));
-  let net_chain =
-    take blocks
-      (List.map
-         (fun c ->
-           {
-             height = c.Bft_net.Tcp.c_height;
-             view = c.Bft_net.Tcp.c_view;
-             hash = c.Bft_net.Tcp.c_hash;
-           })
-         result.Bft_net.Tcp.nodes.(0).Bft_net.Tcp.commits)
-  in
-  let cc_net_summary =
-    client_stats result ~spec ~view_ms:net_cfg.Bft_net.Tcp.delta_ms
-  in
-  {
-    cc_spec = spec;
-    cc_blocks = blocks;
-    cc_sim_chain = sim_chain;
-    cc_net_chain = net_chain;
-    cc_agree = sim_chain = net_chain;
-    cc_sim_summary;
-    cc_net_summary;
+    sim_clients = sim.Harness.client_summary;
+    runs;
+    agree = List.for_all (fun r -> r.chain = sim_chain) runs;
   }

@@ -10,8 +10,9 @@
     substrates must produce the identical commit sequence, and
     {!cross_validate} asserts they do. *)
 
-(** The commit quorum [n - f] with [f = (n - 1) / 3] — the number of
-    nodes whose commit makes a block final for latency accounting. *)
+(** The commit quorum {!Bft_types.Validator_set.commit_quorum} ([2f + 1]
+    with [f = (n - 1) / 3]) — the number of nodes whose commit makes a
+    block final for latency accounting, as in the simulator's metrics. *)
 val quorum : n:int -> int
 
 (** [config kind ~n ~blocks] — a {!Bft_net.Tcp.config} wired for
@@ -23,23 +24,17 @@ val config : Protocol_kind.t -> n:int -> blocks:int -> Bft_net.Tcp.config
 (** Launch a cluster of the given protocol (see {!Bft_net.Tcp.run}). *)
 val run : Protocol_kind.t -> Bft_net.Tcp.config -> Bft_net.Tcp.result
 
-(** Post-run sanity assertions: the run reached its target, every node
-    committed at least [target] blocks, per-node commit heights are
-    consecutive from height 1, and all nodes agree on their common prefix
-    (same hash at same height).  Returns a human-readable reason on
-    failure. *)
+(** Post-run sanity assertions: the run reached its target, every node's
+    top committed height is at least [target], a node that never
+    restarted committed heights consecutively from 1, and no two nodes
+    committed different hashes at the same height.  A recovered node's
+    log is exempt from density: pre-crash commits die with a process-mode
+    incarnation and catch-up re-commits heights.  Returns a
+    human-readable reason on failure. *)
 val check : Bft_net.Tcp.result -> target:int -> (unit, string) result
 
-(** {!check} for runs with crashes: a recovered node's commit log is not
-    dense (pre-crash commits die with the incarnation in process mode,
-    catch-up re-commits heights), so this asserts only the crash-tolerant
-    invariants — the run reached its target, every node's top committed
-    height is at least [target], and no two nodes committed different
-    hashes at the same height. *)
-val check_chaos : Bft_net.Tcp.result -> target:int -> (unit, string) result
-
 (** Post-hoc liveness audit of a socket run: replays the run's fault
-    events, per-node commits and derived quorum commits into a
+    events, per-node commits and {!Bft_net.Tcp.quorum_commits} into a
     {!Bft_obs.Liveness} monitor in wall-time order, with the monitor's
     GST set to the last disruption.  If the run lasted past
     [gst + bound], enforces one {!Bft_obs.Liveness.check} over that
@@ -53,9 +48,8 @@ val net_liveness :
 (** Post-hoc client-traffic accounting for a socket run whose config
     carried [clients = Some spec].  Rebuilds an ingestion site from the
     spec and replays node 0's committed chain through it (the commit
-    records carry each block's packed batch reference), computing every
-    block's quorum-commit time as the [quorum]-th smallest first-commit
-    time across nodes.  The returned summary is the socket-side
+    records carry each block's packed batch reference), each block once
+    at its {!Bft_net.Tcp.quorum_commits} time, found by hash.  The returned summary is the socket-side
     counterpart of {!Harness.run_result.client_summary}: admission and
     backpressure counters, client-perceived end-to-end latency
     percentiles, per-lane fairness and dissemination bytes.  [view_ms]
@@ -70,70 +64,63 @@ val client_stats :
 (** One commit as compared across substrates. *)
 type commit_id = { height : int; view : int; hash : int64 }
 
+(** One socket run of a cross-validation. *)
+type net_run = {
+  mode : Bft_net.Tcp.mode;
+  chain : commit_id list;  (** Node 0's first [blocks] commits. *)
+  liveness : Bft_obs.Liveness.report option;
+      (** {!net_liveness}, when the run had a fault schedule. *)
+  clients : Bft_mempool.Ingest.summary option;
+      (** {!client_stats}, when the run carried client traffic. *)
+}
+
 type crossval = {
-  sim_commits : commit_id list;  (** Node 0's first [blocks] sim commits. *)
-  net_commits : commit_id list;  (** Node 0's first [blocks] TCP commits. *)
-  agree : bool;  (** The two sequences are identical. *)
-}
-
-(** [cross_validate ~protocol ~blocks ()] replays the fault-free
-    round-robin schedule on both substrates ([n] defaults to 4) and
-    compares node 0's first [blocks] commits as [(height, view, hash)]
-    triples.  Raises [Failure] if either substrate fails to commit
-    [blocks] blocks at all. *)
-val cross_validate :
-  ?n:int -> ?payload_bytes:int -> protocol:Protocol_kind.t -> blocks:int ->
-  unit -> crossval
-
-type chaos_crossval = {
   schedule : Bft_faults.Fault_schedule.t;
-      (** The drawn logical schedule (times are view numbers). *)
-  blocks : int;  (** Compared prefix length: past the last anchor. *)
-  sim_chain : commit_id list;  (** Node 0, simulator, view clock. *)
-  thread_chain : commit_id list;  (** Node 0, TCP threads mode. *)
-  process_chain : commit_id list;  (** Node 0, TCP process mode. *)
-  agree : bool;  (** All three chains are identical. *)
-  thread_liveness : Bft_obs.Liveness.report;
-  process_liveness : Bft_obs.Liveness.report;
+      (** The drawn logical schedule (times are view numbers); empty when
+          fault-free. *)
+  blocks : int;  (** Compared prefix length. *)
+  sim_chain : commit_id list;  (** Node 0's first [blocks] sim commits. *)
+  sim_clients : Bft_mempool.Ingest.summary option;
+      (** The simulator's client summary, when there is client traffic. *)
+  runs : net_run list;  (** Threads, then processes under a schedule. *)
+  agree : bool;  (** Every socket chain equals [sim_chain]. *)
 }
 
-(** The chaos equivalence check: draw a random logical fault schedule
-    ({!Bft_faults.Logical.random} — one crash/recover cycle plus one
-    partition window, seeded by [seed]) and run it on three substrates —
-    the simulator under [logical_faults], and the TCP cluster under
-    [fault_clock = Views] in both threads and process mode (the latter
-    with a real [SIGKILL] and a WAL-file rebuild).  Because every fault
-    is anchored to protocol views, all three runs must commit the same
-    (height, view, hash) chain; {!check_chaos} and {!net_liveness} run
-    on both socket results along the way.  Raises [Failure] when a
-    substrate fails to commit the prefix at all. *)
-val cross_validate_chaos :
-  ?n:int -> ?seed:int -> protocol:Protocol_kind.t -> unit -> chaos_crossval
+(** The client spec the command line cross-validates with: 100k clients
+    on the [Views] ingest clock, 32 commands per view. *)
+val crossval_clients : Bft_mempool.Spec.t
 
-type client_crossval = {
-  cc_spec : Bft_mempool.Spec.t;  (** The traffic spec both runs ingested. *)
-  cc_blocks : int;  (** Compared prefix length. *)
-  cc_sim_chain : commit_id list;  (** Node 0, simulator. *)
-  cc_net_chain : commit_id list;  (** Node 0, TCP threads mode. *)
-  cc_agree : bool;  (** The two chains are identical. *)
-  cc_sim_summary : Bft_mempool.Ingest.summary;
-  cc_net_summary : Bft_mempool.Ingest.summary;  (** Via {!client_stats}. *)
-}
+(** [cross_validate ~protocol ~blocks ()] runs the same world on the
+    simulator and on localhost TCP clusters ([n] defaults to 4) and
+    compares node 0's first [blocks] commits as [(height, view, hash)]
+    triples.  Every socket run passes {!check}.  The inputs pick the
+    world:
 
-(** The client-traffic equivalence check: run the same seeded client
-    stream through the simulator and through a live TCP cluster and
-    assert both commit the identical [(height, view, hash)] chain.  The
-    spec must use the [Views] ingest clock (the default here: 100k
-    clients, 32 commands per view) — under it a leader's batch cut is a
-    pure function of the view number and the parent's cursor, so chain
-    agreement means the two substrates replicated the {e same} mempool
-    contents command-for-command.  Raises [Invalid_argument] on a
-    [Wall]-clock spec and [Failure] when either substrate fails to
-    commit the prefix. *)
-val cross_validate_clients :
+    - fault-free (the default): one threads-mode cluster.  With [delta]
+      far above localhost jitter no timeout fires, so the chain is a pure
+      function of the protocol and any divergence is a codec or transport
+      bug.
+    - [chaos_seed]: a random logical fault schedule
+      ({!Bft_faults.Logical.random} — one crash/recover cycle plus one
+      partition window) replayed by the simulator under [logical_faults]
+      and by a threads-mode and a process-mode cluster (the latter with a
+      real [SIGKILL] and a WAL-file rebuild) under [fault_clock = Views].
+      The compared prefix grows to [last_anchor + 8] commits so recovery
+      and heal sit inside it; each socket run reports {!net_liveness}.
+    - [clients]: the same seeded client stream on both substrates, with a
+      client summary on each side.  Under the [Views] ingest clock a
+      batch cut is a pure function of the view number, so chain agreement
+      means both replicated the same mempool contents command-for-command.
+
+    Raises [Invalid_argument] on a [Wall]-clock spec or on [chaos_seed]
+    together with [clients], and [Failure] when a substrate fails to
+    commit the prefix at all or a socket run fails {!check}. *)
+val cross_validate :
   ?n:int ->
-  ?spec:Bft_mempool.Spec.t ->
+  ?payload_bytes:int ->
+  ?chaos_seed:int ->
+  ?clients:Bft_mempool.Spec.t ->
   protocol:Protocol_kind.t ->
   blocks:int ->
   unit ->
-  client_crossval
+  crossval

@@ -5,6 +5,7 @@ let make n =
   { n; f = (n - 1) / 3 }
 
 let quorum t = t.n - t.f
+let commit_quorum t = (2 * t.f) + 1
 let weak_quorum t = t.f + 1
 let is_member t i = i >= 0 && i < t.n
 let pp ppf t = Format.fprintf ppf "validators(n=%d, f=%d)" t.n t.f

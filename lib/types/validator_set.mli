@@ -14,6 +14,12 @@ val make : int -> t
 (** Size of a quorum: [n - f]. *)
 val quorum : t -> int
 
+(** Commit quorum [2f + 1]: how many nodes must commit a block before it
+    counts as final for latency accounting, on both substrates.  Equals
+    {!quorum} when [n = 3f + 1] and is smaller otherwise (3 vs 4 at
+    [n = 5]). *)
+val commit_quorum : t -> int
+
 (** Size of the weak quorum [f + 1] that guarantees at least one honest
     member (used by Bracha-style timeout amplification). *)
 val weak_quorum : t -> int

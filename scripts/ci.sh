@@ -12,9 +12,9 @@
 #   2. dune runtest           -- unit/property/integration suites plus the
 #                                smoke aliases (bench smoke, mc-smoke,
 #                                mc-swarm-smoke, bench-smoke perf tripwire,
-#                                net smoke), then a CLI explore smoke (a
-#                                small swarm over a healthy world must find
-#                                no counterexample)
+#                                net smoke, net-chaos-smoke), then a CLI
+#                                explore smoke (a small swarm over a
+#                                healthy world must find no counterexample)
 #   3. dune build @doc        -- only when odoc is installed; docs are part
 #                                of the gate where available, skipped (with
 #                                a notice) where not

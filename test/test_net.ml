@@ -8,7 +8,11 @@
    Transport layer: localhost TCP clusters for all five protocols (thread
    and process modes), survival under malformed-frame injection, trace
    merging, and the substrate cross-validation: the simulator and the
-   socket cluster must commit identical chains on the happy path. *)
+   socket cluster must commit identical chains fault-free, under a
+   view-anchored chaos schedule and with client traffic.
+
+   Analysis layer: quorum commits, liveness, client latency and the
+   post-run check on hand-built results, without sockets. *)
 
 open Bft_types
 module Wire = Bft_net.Wire
@@ -483,7 +487,7 @@ let wall_chaos_result mode =
   Net_harness.run kind cfg
 
 let assert_recovered (r : Tcp.result) ~node =
-  (match Net_harness.check_chaos r ~target:40 with
+  (match Net_harness.check r ~target:40 with
   | Ok () -> ()
   | Error reason -> Alcotest.fail reason);
   Alcotest.(check bool) "completed cooperatively" true (r.Tcp.outcome = Tcp.Completed);
@@ -516,21 +520,24 @@ let process_crash_recover () =
 
 (* --- substrate cross-validation -------------------------------------------- *)
 
+let show_chain chain =
+  String.concat ","
+    (List.map
+       (fun (c : Net_harness.commit_id) ->
+         Printf.sprintf "%d@%d" c.Net_harness.height c.view)
+       chain)
+
+let net_chains (cv : Net_harness.crossval) =
+  String.concat " / "
+    (List.map (fun (r : Net_harness.net_run) -> show_chain r.chain) cv.runs)
+
 let crossval_case kind =
   Alcotest.test_case (Protocol_kind.name kind) `Quick (fun () ->
       let cv = Net_harness.cross_validate ~n:4 ~protocol:kind ~blocks:5 () in
       if not cv.Net_harness.agree then
         Alcotest.failf "substrates disagree: sim %s, net %s"
-          (String.concat ","
-             (List.map
-                (fun (c : Net_harness.commit_id) ->
-                  Printf.sprintf "%d@%d" c.Net_harness.height c.view)
-                cv.Net_harness.sim_commits))
-          (String.concat ","
-             (List.map
-                (fun (c : Net_harness.commit_id) ->
-                  Printf.sprintf "%d@%d" c.Net_harness.height c.view)
-                cv.Net_harness.net_commits)))
+          (show_chain cv.Net_harness.sim_chain)
+          (net_chains cv))
 
 let crossval_with_payload () =
   let cv =
@@ -547,27 +554,23 @@ let crossval_with_payload () =
 let crossval_clients_case kind =
   Alcotest.test_case (Protocol_kind.name kind) `Quick (fun () ->
       let cv =
-        Net_harness.cross_validate_clients ~n:4 ~protocol:kind ~blocks:5 ()
+        Net_harness.cross_validate ~n:4
+          ~clients:Net_harness.crossval_clients ~protocol:kind ~blocks:5 ()
       in
-      if not cv.Net_harness.cc_agree then
+      if not cv.Net_harness.agree then
         Alcotest.failf "client chains disagree: sim %s, net %s"
-          (String.concat ","
-             (List.map
-                (fun (c : Net_harness.commit_id) ->
-                  Printf.sprintf "%d@%d" c.Net_harness.height c.view)
-                cv.Net_harness.cc_sim_chain))
-          (String.concat ","
-             (List.map
-                (fun (c : Net_harness.commit_id) ->
-                  Printf.sprintf "%d@%d" c.Net_harness.height c.view)
-                cv.Net_harness.cc_net_chain));
+          (show_chain cv.Net_harness.sim_chain)
+          (net_chains cv);
       (* Both replayers saw real traffic and lost nothing. *)
       List.iter
-        (fun (s : Bft_mempool.Ingest.summary) ->
-          Alcotest.(check bool) "commands flowed" true (s.committed > 0);
-          Alcotest.(check int) "conservation" s.submitted
-            (s.rejected + s.committed + s.pending + s.backlogged))
-        [ cv.Net_harness.cc_sim_summary; cv.Net_harness.cc_net_summary ])
+        (function
+          | None -> Alcotest.fail "missing client summary"
+          | Some (s : Bft_mempool.Ingest.summary) ->
+              Alcotest.(check bool) "commands flowed" true (s.committed > 0);
+              Alcotest.(check int) "conservation" s.submitted
+                (s.rejected + s.committed + s.pending + s.backlogged))
+        (cv.Net_harness.sim_clients
+        :: List.map (fun (r : Net_harness.net_run) -> r.clients) cv.runs))
 
 (* The chaos equivalence bar: a seeded random logical schedule (one
    crash/recover plus one partition window) must yield the identical
@@ -575,20 +578,180 @@ let crossval_clients_case kind =
    sockets in both execution modes. *)
 let crossval_chaos_case kind =
   Alcotest.test_case (Protocol_kind.name kind) `Quick (fun () ->
-      let cv = Net_harness.cross_validate_chaos ~protocol:kind () in
+      let cv =
+        Net_harness.cross_validate ~chaos_seed:7 ~protocol:kind ~blocks:1 ()
+      in
       if not cv.Net_harness.agree then
         Alcotest.failf "chaos chains disagree under [%s] (%d blocks)"
           (Bft_faults.Fault_schedule.to_string cv.Net_harness.schedule)
           cv.Net_harness.blocks;
+      Alcotest.(check (list bool)) "threads and processes" [ true; false ]
+        (List.map
+           (fun (r : Net_harness.net_run) -> r.mode = Tcp.Threads)
+           cv.runs);
       List.iter
-        (fun (rep : Bft_obs.Liveness.report) ->
-          match rep.Bft_obs.Liveness.recoveries with
-          | [ rec_ ] ->
-              Alcotest.(check bool) "caught up after recovery" true
-                (rec_.Bft_obs.Liveness.caught_up_at_ms <> None)
-          | rs ->
-              Alcotest.failf "expected 1 recovery, got %d" (List.length rs))
-        [ cv.Net_harness.thread_liveness; cv.Net_harness.process_liveness ])
+        (fun (r : Net_harness.net_run) ->
+          match r.liveness with
+          | None -> Alcotest.fail "missing liveness report"
+          | Some rep -> (
+              match rep.Bft_obs.Liveness.recoveries with
+              | [ rec_ ] ->
+                  Alcotest.(check bool) "caught up after recovery" true
+                    (rec_.Bft_obs.Liveness.caught_up_at_ms <> None)
+              | rs ->
+                  Alcotest.failf "expected 1 recovery, got %d"
+                    (List.length rs)))
+        cv.runs)
+
+(* No world combines a fault schedule with client traffic, and a
+   Wall-clock client stream is substrate-dependent: both are refused
+   before anything runs. *)
+let crossval_rejects () =
+  let rejects what f =
+    match f () with
+    | (_ : Net_harness.crossval) -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let protocol = Protocol_kind.Commit_moonshot in
+  rejects "schedule + clients" (fun () ->
+      Net_harness.cross_validate ~chaos_seed:7
+        ~clients:Net_harness.crossval_clients ~protocol ~blocks:3 ());
+  rejects "wall-clock clients" (fun () ->
+      Net_harness.cross_validate
+        ~clients:
+          { Net_harness.crossval_clients with clock = Bft_mempool.Spec.Wall }
+        ~protocol ~blocks:3 ())
+
+(* --- post-run analysis on hand-built results (no sockets) ------------------ *)
+
+let mk_commit ?(payload = Payload.empty ~id:0) ~height time =
+  {
+    Tcp.c_height = height;
+    c_view = height;
+    c_hash = Int64.of_int (0x100 + height);
+    c_time_ms = time;
+    c_payload_id = payload.Payload.id;
+    c_payload_bytes = payload.Payload.size_bytes;
+  }
+
+let mk_node ?(restarts = 0) ?(proposals = []) id commits =
+  {
+    Tcp.id;
+    commits;
+    proposals;
+    trace_lines = [];
+    decode_errors = 0;
+    messages_sent = 0;
+    bytes_sent = 0;
+    bytes_heal = 0;
+    reconnects = 0;
+    restarts;
+    malformed_by_peer = [||];
+    dropped_by_peer = [||];
+  }
+
+let mk_result nodes =
+  {
+    Tcp.nodes = Array.of_list nodes;
+    wall_ms = 1_000.;
+    reached_target = true;
+    outcome = Tcp.Completed;
+    fault_events = [];
+  }
+
+let quorum_times r ~quorum =
+  Tcp.quorum_commits r ~quorum
+  |> List.map (fun (_, c) -> (c.Tcp.c_height, c.Tcp.c_time_ms))
+  |> List.sort compare
+
+(* Node 2 committed height 1 at 5 ms, crashed, and re-committed it at
+   50 ms while catching up: it counts once, at 5 ms.  Height 2 reached
+   only two nodes, below the quorum of 3. *)
+let analysis_recommit_and_subquorum () =
+  let c = mk_commit in
+  let r =
+    mk_result
+      [
+        mk_node 0 [ c ~height:1 10.; c ~height:2 60. ];
+        mk_node 1 [ c ~height:1 30.; c ~height:2 70. ];
+        mk_node ~restarts:1 2 [ c ~height:1 5.; c ~height:1 50. ];
+        mk_node 3 [];
+      ]
+  in
+  Alcotest.(check (list (pair int (float 0.)))) "one quorum commit, at 30 ms"
+    [ (1, 30.) ]
+    (quorum_times r ~quorum:(Net_harness.quorum ~n:4));
+  (* Without node 1, height 1 has two distinct committers only. *)
+  let r' = { r with Tcp.nodes = [| r.Tcp.nodes.(0); r.Tcp.nodes.(2) |] } in
+  Alcotest.(check (list (pair int (float 0.)))) "re-commit is not a vote" []
+    (quorum_times r' ~quorum:3)
+
+(* n = 5 has f = 1, so a block is final at its 2f+1 = 3rd commit — not
+   the (n-f) = 4th.  Latency samples, the liveness gap and client
+   latency must all read the 3rd commit. *)
+let analysis_n5_third_commit () =
+  Alcotest.(check int) "commit quorum at n=5" 3 (Net_harness.quorum ~n:5);
+  let spec = Net_harness.crossval_clients in
+  let batch = Payload.batch ~cursor:0 ~watermark:64 ~count:32 in
+  let times1 = [ 10.; 20.; 30.; 40.; 50. ]
+  and times2 = [ 100.; 110.; 120.; 200.; 300. ] in
+  let r =
+    mk_result
+      (List.init 5 (fun id ->
+           mk_node id
+             ~proposals:
+               [ { Tcp.p_height = 1; p_hash = 0x101L; p_time_ms = 0. } ]
+             [
+               mk_commit ~payload:batch ~height:1 (List.nth times1 id);
+               mk_commit ~height:2 (List.nth times2 id);
+             ]))
+  in
+  let quorum = Net_harness.quorum ~n:5 in
+  Alcotest.(check (list (pair int (float 0.)))) "quorum_latencies"
+    [ (1, 30.) ]
+    (Tcp.quorum_latencies r ~quorum);
+  let rep = Net_harness.net_liveness r ~delta:1_000. in
+  Alcotest.(check (float 0.)) "net_liveness gap = 120 - 30" 90.
+    rep.Bft_obs.Liveness.max_quorum_gap_ms;
+  let replay time =
+    let ing = Bft_mempool.Ingest.create ~spec ~n:5 ~view_ms:100. () in
+    ignore (Bft_mempool.Ingest.on_quorum_commit ing ~payload:batch ~time);
+    Bft_mempool.Ingest.summary ing
+  in
+  let s = Net_harness.client_stats r ~spec ~view_ms:100. in
+  Alcotest.(check bool) "client_stats: commands flowed" true
+    (s.Bft_mempool.Ingest.committed > 0);
+  Alcotest.(check bool) "client_stats at the 3rd commit" true
+    (s.Bft_mempool.Ingest.lat = (replay 30.).Bft_mempool.Ingest.lat);
+  Alcotest.(check bool) "not at the 4th" false
+    (s.Bft_mempool.Ingest.lat = (replay 40.).Bft_mempool.Ingest.lat)
+
+(* [check] demands dense heights only from nodes that never restarted. *)
+let analysis_check_gaps () =
+  let chain hs = List.map (fun h -> mk_commit ~height:h (float_of_int h)) hs in
+  let run ~restarts =
+    mk_result
+      [
+        mk_node 0 (chain [ 1; 2; 3 ]);
+        mk_node 1 (chain [ 1; 2; 3 ]);
+        mk_node ~restarts 2 (chain [ 1; 3 ]);
+        mk_node 3 (chain [ 1; 2; 3 ]);
+      ]
+  in
+  Alcotest.(check bool) "gap in a never-restarted node" true
+    (Result.is_error (Net_harness.check (run ~restarts:0) ~target:3));
+  Alcotest.(check bool) "gap in a restarted node" true
+    (Result.is_ok (Net_harness.check (run ~restarts:1) ~target:3));
+  let forked =
+    mk_result
+      [
+        mk_node 0 (chain [ 1; 2; 3 ]);
+        mk_node ~restarts:1 1
+          [ mk_commit ~height:1 1.; { (mk_commit ~height:2 2.) with c_hash = 7L } ];
+      ]
+  in
+  Alcotest.(check bool) "conflicting hashes" true
+    (Result.is_error (Net_harness.check forked ~target:2))
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
@@ -637,4 +800,13 @@ let () =
         @ [ Alcotest.test_case "with payload" `Quick crossval_with_payload ] );
       ( "crossval-clients", List.map crossval_clients_case Protocol_kind.all );
       ( "crossval-chaos", List.map crossval_chaos_case Protocol_kind.all );
+      ( "analysis",
+        [
+          Alcotest.test_case "re-commit and sub-quorum" `Quick
+            analysis_recommit_and_subquorum;
+          Alcotest.test_case "n=5 picks the 3rd commit" `Quick
+            analysis_n5_third_commit;
+          Alcotest.test_case "check gaps" `Quick analysis_check_gaps;
+          Alcotest.test_case "crossval rejects" `Quick crossval_rejects;
+        ] );
     ]
