@@ -1,16 +1,16 @@
 (* Bechamel micro-benchmarks of the hot paths under the simulation: block
-   hashing, vote aggregation, event-queue churn, block-store ancestry.
-   These are per-operation costs, printed in nanoseconds. *)
+   hashing, vote aggregation, event-queue churn, block-store ancestry, the
+   commit path at two chain heights.  These are per-operation costs,
+   printed in nanoseconds. *)
 
 open Bechamel
 open Toolkit
 open Bft_types
 
-let chain = ref []
-
-let setup () =
+(* A straight chain of [len] blocks on top of genesis, oldest first. *)
+let chain_of len =
   let rec go acc parent view =
-    if view > 64 then List.rev acc
+    if view > len then List.rev acc
     else
       let b =
         Block.create ~parent ~view ~proposer:(view mod 4)
@@ -18,7 +18,10 @@ let setup () =
       in
       go (b :: acc) b (view + 1)
   in
-  chain := go [] Block.genesis 1
+  go [] Block.genesis 1
+
+let chain = ref []
+let setup () = chain := chain_of 64
 
 let test_block_create =
   Test.make ~name:"block-create+hash"
@@ -56,6 +59,54 @@ let test_store_ancestry =
          ignore
            (Bft_chain.Block_store.is_ancestor store ~ancestor:Block.genesis
               ~of_:tip)))
+
+(* Node_core.commit of the next block on a node whose committed chain is
+   already [height] blocks long; a per-commit cost that grows with height
+   shows up as two diverging rows.  A commit cannot be undone, so this row
+   is not a bechamel closure: each round rebuilds the node untimed, then
+   times [commit_window] fresh commits one at a time on the monotonic
+   clock, and the median of [commit_rounds] rounds is printed. *)
+let commit_window = 256
+let commit_rounds = 31
+
+let commit_at_height ~name height =
+  let blocks = Array.of_list (chain_of (height + commit_window + 1)) in
+  let env : unit Env.t =
+    {
+      Env.id = 0;
+      validators = Validator_set.make 4;
+      delta = 100.;
+      now = (fun () -> 0.);
+      send = (fun _ () -> ());
+      multicast = ignore;
+      set_timer = (fun _ _ () -> ());
+      leader_of = (fun view -> view mod 4);
+      make_payload = (fun ~view ~parent:_ -> Payload.make ~id:view ~size_bytes:0);
+      on_commit = ignore;
+      on_propose = ignore;
+      probe = None;
+    }
+  in
+  let clock = Toolkit.Monotonic_clock.make () in
+  (* The setup commits [height] blocks in one call, which fills the commit
+     log's array exactly, so the next commit regrows it with an O(height)
+     copy; a chain grown one block at a time amortizes that copy away, so
+     the setup makes that first commit too. *)
+  let round () =
+    let core = Moonshot.Node_core.create env in
+    Array.iter (Moonshot.Node_core.note_block core) blocks;
+    Moonshot.Node_core.commit core blocks.(height - 1);
+    Moonshot.Node_core.commit core blocks.(height);
+    Gc.full_major ();
+    let t0 = Toolkit.Monotonic_clock.get clock in
+    for i = height + 1 to height + commit_window do
+      Moonshot.Node_core.commit core blocks.(i)
+    done;
+    (Toolkit.Monotonic_clock.get clock -. t0) /. float_of_int commit_window
+  in
+  let per_commit = Array.init commit_rounds (fun _ -> round ()) in
+  Array.sort compare per_commit;
+  Format.printf "%-36s %12.1f ns/op@." name per_commit.(commit_rounds / 2)
 
 let test_signer_set =
   Test.make ~name:"signer-set add x200"
@@ -127,11 +178,13 @@ let test_probe_disabled =
            | Some f -> f (Probe.Timeout_sent { view = i })
          done))
 
+(* Ancestry last, so the commit-path rows [run] prints after these sit
+   next to it. *)
 let tests =
   [
     test_block_create; test_vote_aggregation; test_event_queue;
-    test_engine_multicast; test_store_ancestry; test_signer_set;
-    test_signer_set_to_list; test_trace_emit; test_probe_disabled;
+    test_engine_multicast; test_signer_set; test_signer_set_to_list;
+    test_trace_emit; test_probe_disabled; test_store_ancestry;
   ]
 
 let run () =
@@ -154,4 +207,6 @@ let run () =
           | Some (est :: _) -> Format.printf "%-36s %12.1f ns/op@." name est
           | Some [] | None -> Format.printf "%-36s (no estimate)@." name)
         analyzed)
-    tests
+    tests;
+  commit_at_height ~name:"node-core commit at height 1k" 1_000;
+  commit_at_height ~name:"node-core commit at height 10k" 10_000

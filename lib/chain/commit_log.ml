@@ -23,6 +23,10 @@ let at_height t h = if h >= 0 && h < t.len then Some t.chain.(h) else None
 let last t = t.chain.(t.len - 1)
 let length t = t.len - 1
 
+let holds t (b : Block.t) =
+  b.Block.height < t.len
+  && Hash.equal t.chain.(b.Block.height).Block.hash b.Block.hash
+
 let is_committed t hash =
   let rec scan h =
     h >= 0 && (Hash.equal t.chain.(h).Block.hash hash || scan (h - 1))

@@ -23,6 +23,11 @@ val create : ?on_commit:(Block.t -> unit) -> unit -> t
     from [store]. *)
 val commit : t -> Block_store.t -> Block.t -> Block.t list
 
+(** [holds t b] is true when [b] is the committed block at [b]'s height.
+    O(1) and allocation-free: this is the frontier test that lets ancestry
+    walks stop at the committed prefix instead of at genesis. *)
+val holds : t -> Block.t -> bool
+
 val is_committed : t -> Hash.t -> bool
 val last : t -> Block.t  (** Highest committed block; genesis initially. *)
 

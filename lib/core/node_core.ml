@@ -34,6 +34,25 @@ let store t = t.store
 let log t = t.log
 let high_cert t = t.high_cert
 
+(* Ancestry walks on the commit path stop at the committed frontier, so
+   their cost is the uncommitted suffix, not the chain height.  This is
+   exact because the store never evicts and [Commit_log.commit] finds every
+   newly committed block's parent in the store, down to a block the log
+   already holds: every block the log holds therefore has its whole
+   ancestry in the store, and reaching one is as good as reaching genesis.
+   Hence [linked t b] iff [Block_store.chain_to t.store b <> None], and
+   [first_missing] answers exactly as a walk to genesis would.  The
+   [is_genesis] test keeps that equivalence for a forged height-0 block
+   that is not the log's genesis.  The walk stays outside
+   [Commit_log.commit] on purpose: a forked block with a gap below its fork
+   point must be deferred here, not raise [Safety_violation] there. *)
+let rec linked t (b : Block.t) =
+  Commit_log.holds t.log b || Block.is_genesis b
+  ||
+  match Block_store.find t.store b.Block.parent with
+  | Some parent -> linked t parent
+  | None -> false
+
 let try_deferred t =
   match t.deferred_commits with
   | [] -> ()
@@ -41,11 +60,11 @@ let try_deferred t =
       let still_deferred =
         List.filter
           (fun b ->
-            match Block_store.chain_to t.store b with
-            | Some _ ->
-                ignore (Commit_log.commit t.log t.store b);
-                false
-            | None -> true)
+            if linked t b then begin
+              ignore (Commit_log.commit t.log t.store b);
+              false
+            end
+            else true)
           pending
       in
       t.deferred_commits <- still_deferred
@@ -114,15 +133,13 @@ let chain_commits t ~depth (c : Cert.t) =
 let two_chain_commits t c = chain_commits t ~depth:2 c
 
 let commit t b =
-  match Block_store.chain_to t.store b with
-  | Some _ -> ignore (Commit_log.commit t.log t.store b)
-  | None ->
-      if
-        not
-          (List.exists
-             (fun (d : Block.t) -> Hash.equal d.Block.hash b.Block.hash)
-             t.deferred_commits)
-      then t.deferred_commits <- b :: t.deferred_commits
+  if linked t b then ignore (Commit_log.commit t.log t.store b)
+  else if
+    not
+      (List.exists
+         (fun (d : Block.t) -> Hash.equal d.Block.hash b.Block.hash)
+         t.deferred_commits)
+  then t.deferred_commits <- b :: t.deferred_commits
 
 let committed t = Commit_log.length t.log
 
@@ -130,7 +147,7 @@ let has_deferred t = t.deferred_commits <> []
 
 let first_missing t =
   let rec probe (child : Block.t) =
-    if Block.is_genesis child then None
+    if Commit_log.holds t.log child || Block.is_genesis child then None
     else
       match Block_store.find t.store child.Block.parent with
       | Some parent -> probe parent

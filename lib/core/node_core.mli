@@ -46,8 +46,18 @@ val chain_commits : 'msg t -> depth:int -> Cert.t -> Block.t list
 
 (** Commit a block (and its ancestors).  If an ancestor header has not
     arrived yet the commit is deferred and retried on the next
-    {!note_block}. *)
+    {!note_block}.  The ancestry check walks parent links only down to the
+    committed frontier (see {!linked}), so a commit costs the length of the
+    uncommitted suffix, not the chain height. *)
 val commit : 'msg t -> Block.t -> unit
+
+(** [linked t b] — whether every ancestor of [b] is in the store: the walk
+    from [b] reaches a block the commit log {!Bft_chain.Commit_log.holds}
+    (or genesis) without leaving the store.  Equivalent to
+    [Block_store.chain_to (store t) b <> None], because the store never
+    evicts and every committed block has its whole ancestry in the store.
+    This is the test {!commit} uses; exposed for tests. *)
+val linked : 'msg t -> Block.t -> bool
 
 (** Number of blocks this node has committed (genesis excluded). *)
 val committed : 'msg t -> int
@@ -58,7 +68,9 @@ val committed : 'msg t -> int
 val has_deferred : 'msg t -> bool
 
 (** The first missing ancestor blocking a deferred commit, with the
-    proposer of its (known) child as a hint for who certainly had it. *)
+    proposer of its (known) child as a hint for who certainly had it.
+    Each deferred block's walk stops at the committed frontier, with the
+    same answer as a walk to genesis (see {!linked}). *)
 val first_missing : 'msg t -> (Hash.t * int) option
 
 (** [chain_segment t hash ~max] is the block with [hash] plus up to

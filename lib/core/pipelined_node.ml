@@ -332,9 +332,9 @@ let buffer t view p =
     let items = Option.value ~default:[] (Hashtbl.find_opt t.pending view) in
     Hashtbl.replace t.pending view (p :: items);
     (* Garbage-collect buffers for views we have left behind. *)
-    Hashtbl.iter
-      (fun v _ -> if v < t.cur_view then Hashtbl.remove t.pending v)
-      (Hashtbl.copy t.pending)
+    Hashtbl.filter_map_inplace
+      (fun v items -> if v < t.cur_view then None else Some items)
+      t.pending
   end
 
 let on_timeout t ~src view lock =

@@ -205,9 +205,9 @@ and process_pending t =
   (match Hashtbl.find_opt t.pending t.cur_view with
   | None -> ()
   | Some items -> List.iter (try_pending t) (List.rev items));
-  Hashtbl.iter
-    (fun v _ -> if v < t.cur_view then Hashtbl.remove t.pending v)
-    (Hashtbl.copy t.pending)
+  Hashtbl.filter_map_inplace
+    (fun v items -> if v < t.cur_view then None else Some items)
+    t.pending
 
 and try_pending t = function
   | P_opt block -> try_opt_vote t block

@@ -192,9 +192,9 @@ and process_pending t =
   (match Hashtbl.find_opt t.pending t.cur_round with
   | None -> ()
   | Some items -> List.iter (try_vote t) (List.rev items));
-  Hashtbl.iter
-    (fun r _ -> if r < t.cur_round then Hashtbl.remove t.pending r)
-    (Hashtbl.copy t.pending)
+  Hashtbl.filter_map_inplace
+    (fun r items -> if r < t.cur_round then None else Some items)
+    t.pending
 
 and try_vote t (P (block, qc, tc)) =
   let round = block.Block.view in

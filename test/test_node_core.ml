@@ -192,6 +192,24 @@ let test_first_missing () =
   check "resolved" true (Node_core.first_missing core = None)
 
 
+let test_commit_alloc_independent_of_height () =
+  (* A commit walks only the uncommitted suffix.  A walk to genesis would
+     allocate a cons and an option per ancestor: ~50k words per commit at
+     height 10k. *)
+  let blocks = B.chain 11_000 in
+  let core = make () in
+  List.iter (Node_core.note_block core) blocks;
+  Node_core.commit core (List.nth blocks 9_999);
+  check_int "base chain committed" 10_000 (Node_core.committed core);
+  let next = List.filteri (fun i _ -> i >= 10_000) blocks in
+  let before = Gc.minor_words () in
+  List.iter (Node_core.commit core) next;
+  let per_commit = (Gc.minor_words () -. before) /. 1000. in
+  check_int "every block committed" 11_000 (Node_core.committed core);
+  check
+    (Printf.sprintf "%.0f minor words per commit, budget 200" per_commit)
+    true (per_commit < 200.)
+
 (* --- Synchronizer policy -------------------------------------------------------- *)
 
 let test_sync_retry_rotates_targets () =
@@ -351,5 +369,7 @@ let () =
           Alcotest.test_case "deferred until ancestors" `Quick
             test_deferred_commit_until_ancestors;
           Alcotest.test_case "idempotent" `Quick test_commit_idempotent;
+          Alcotest.test_case "allocation independent of height" `Quick
+            test_commit_alloc_independent_of_height;
         ] );
     ]

@@ -311,6 +311,76 @@ let prop_store_out_of_order_insertion =
       | Some full -> List.length full = len + 1
       | None -> false)
 
+(* --- commit frontier --------------------------------------------------------------------------- *)
+
+(* Random block trees: block i (views 1..n) hangs off block i - 1 - back
+   (0 = genesis), so forks branch near the tip.  [stage] 0 leaves a block out
+   of the store (a gap), 1 inserts it before the commits, 2 after them;
+   [action] 2 tries to commit it through [Commit_log.commit], 3 hands it to
+   [Node_core.commit] while it is unlinked, so it is deferred. *)
+let block_tree_gen =
+  let open QCheck.Gen in
+  list_size (int_range 1 40)
+    (triple
+       (frequency [ (4, return 0); (1, int_range 1 6) ])
+       (frequency [ (1, return 0); (3, return 1); (2, return 2) ])
+       (int_range 0 3))
+
+(* [Node_core.first_missing] as a walk to genesis: the oracle for its
+   walk that stops at the committed frontier. *)
+let first_missing_to_genesis store deferred =
+  let open Bft_types in
+  let rec probe (child : Block.t) =
+    if Block.is_genesis child then None
+    else
+      match Bft_chain.Block_store.find store child.Block.parent with
+      | Some parent -> probe parent
+      | None -> Some (child.Block.parent, child.Block.proposer)
+  in
+  List.find_map probe deferred
+
+let prop_frontier_walk_matches_genesis_walk =
+  QCheck.Test.make ~count:1000
+    ~name:"frontier-bounded ancestry walks agree with walks to genesis"
+    (QCheck.make block_tree_gen)
+    (fun spec ->
+      let open Bft_types in
+      let module Store = Bft_chain.Block_store in
+      let _mock, env = Test_support.Mock_env.create ~n:4 ~id:0 () in
+      let core = Moonshot.Node_core.create env in
+      let store = Moonshot.Node_core.store core in
+      let blocks = Array.make (List.length spec + 1) Block.genesis in
+      List.iteri
+        (fun i (back, _, _) ->
+          blocks.(i + 1) <-
+            Test_support.Builders.block ~view:(i + 1)
+              ~parent:blocks.(Stdlib.max 0 (i - back))
+              ())
+        spec;
+      let each f = List.iteri (fun i s -> f blocks.(i + 1) s) spec in
+      let reaches_genesis b = Store.chain_to store b <> None in
+      each (fun b (_, stage, _) -> if stage = 1 then ignore (Store.insert store b));
+      each (fun b (_, _, action) ->
+          if action = 2 && reaches_genesis b then
+            try
+              ignore
+                (Bft_chain.Commit_log.commit (Moonshot.Node_core.log core) store b)
+            with Bft_chain.Commit_log.Safety_violation _ -> ());
+      let deferred = ref [] in
+      each (fun b (_, _, action) ->
+          if action = 3 && not (reaches_genesis b) then begin
+            Moonshot.Node_core.commit core b;
+            deferred := b :: !deferred
+          end);
+      each (fun b (_, stage, _) -> if stage = 2 then ignore (Store.insert store b));
+      Array.for_all
+        (fun b -> Moonshot.Node_core.linked core b = reaches_genesis b)
+        blocks
+      && Option.equal
+           (fun (h, p) (h', p') -> Hash.equal h h' && p = p')
+           (Moonshot.Node_core.first_missing core)
+           (first_missing_to_genesis store !deferred))
+
 (* --- vote rules ---------------------------------------------------------------------------------- *)
 
 let prop_no_normal_vote_for_equivocation =
@@ -580,7 +650,12 @@ let () =
         q [ prop_percentile_bounds; prop_percentile_monotone; prop_outliers_partition ]
       );
       ("workload", q [ prop_schedules_are_fair ]);
-      ("chain", q [ prop_store_out_of_order_insertion ]);
+      ( "chain",
+        q
+          [
+            prop_store_out_of_order_insertion;
+            prop_frontier_walk_matches_genesis_walk;
+          ] );
       ("rules", q [ prop_no_normal_vote_for_equivocation ]);
       ( "cost-models",
         q [ prop_cost_models_sane; prop_proposal_size_monotone_in_payload ] );
