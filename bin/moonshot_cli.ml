@@ -186,11 +186,11 @@ let net_modes =
 
 let net_mode_name mode = fst (List.find (fun (_, m) -> m = mode) net_modes)
 
+(* Errors always reach stderr (a socket node whose result cannot be read
+   is named there); [-v] adds progress messages. *)
 let setup_logs verbose =
-  if verbose then begin
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.set_level (Some Logs.Info)
-  end
+  Logs.set_reporter (Logs.format_reporter ());
+  if verbose then Logs.set_level (Some Logs.Info)
 
 let run_cmd =
   let run verbose protocol n payload duration delta faults schedule seed gst
@@ -371,8 +371,8 @@ let run_net_cmd =
       & info [ "faults" ] ~docv:"SCHEDULE"
           ~doc:
             "Fault schedule to inject, in the simulator's schedule syntax \
-             (e.g. $(b,crash\\@150:2;recover\\@700:2) or \
-             $(b,loss\\@100-400:1>2:0.5)).  Crashes kill the node for real \
+             (e.g. $(b,crash@150:2;recover@700:2) or \
+             $(b,loss@100-400:1>2:0.5)).  Crashes kill the node for real \
              — SIGKILL in $(b,procs) mode — and recovery replays its WAL.")
   in
   let fault_clock =
@@ -406,7 +406,8 @@ let run_net_cmd =
       & info [ "wal-dir" ] ~docv:"DIR"
           ~doc:
             "Directory for per-node write-ahead logs (used by crash \
-             recovery).  Default: a fresh temporary directory.")
+             recovery).  Default, when the schedule crashes a node: a \
+             temporary directory, deleted when the run ends.")
   in
   let run verbose protocol n blocks payload delta mode port trace_file timeout
       check faults fault_clock fault_seed link_delay wal_dir clients =
@@ -542,9 +543,14 @@ let run_net_cmd =
          $(i,docs/WIRE.md)) over a full mesh of TCP connections, and \
          timers run on the wall clock.";
       `P
-        "With $(b,--mode) $(b,procs) each validator is a forked OS process \
-         and results return to the coordinator over pipes, so the run \
-         exercises the codecs across address spaces.";
+        "Both modes run under one coordinator: every validator reports \
+         to it over a pipe (target reached, its result when it stops), \
+         whether it is a thread ($(b,--mode) $(b,threads)) or a forked OS \
+         process ($(b,--mode) $(b,procs)).  The mode decides what a crash \
+         costs the victim: a crashed thread still reports its pre-crash \
+         commits, a crashed process dies by SIGKILL and loses them.  \
+         Either way the recovered validator is rebuilt from its WAL file \
+         and catches up by sync.";
       `S Manpage.s_examples;
       `Pre
         "  # 4 validators in one process, 50 blocks, sanity-checked\n\
@@ -554,7 +560,7 @@ let run_net_cmd =
         \  # 2 kB payloads over the sockets\n\
         \  moonshot run-net -p PM --payload 2048 --blocks 100\n\n\
         \  # Kill node 2 for real (SIGKILL) at 150 ms, re-spawn at 700 ms\n\
-        \  moonshot run-net -p CM --mode procs --blocks 40 \\\n\
+        \  moonshot run-net -p CM --mode procs --blocks 40 \\\\\n\
         \      --faults 'crash@150:2;recover@700:2' --delta 300 --check";
     ]
   in
@@ -674,9 +680,9 @@ let crossval_cmd =
         \  moonshot crossval\n\n\
         \  # All five protocols, fault-free, under chaos, with clients\n\
         \  for p in SM PM CM J HS; do\n\
-        \    moonshot crossval -p $p\n\
-        \    moonshot crossval -p $p --chaos 11\n\
-        \    moonshot crossval -p $p --clients\n\
+        \    moonshot crossval -p \\$p\n\
+        \    moonshot crossval -p \\$p --chaos 11\n\
+        \    moonshot crossval -p \\$p --clients\n\
         \  done";
     ]
   in

@@ -68,6 +68,6 @@ val stats : t -> stats
     join the sender thread. *)
 val shutdown : t -> unit
 
-(** Watchdog path: close the sockets out from under the sender without
+(** Force-stop path: close the sockets out from under the sender without
     joining (a subsequent {!shutdown} still joins). *)
 val force_close : t -> unit

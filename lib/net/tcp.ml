@@ -89,22 +89,6 @@ type result = {
   fault_events : fault_event list;
 }
 
-let empty_node_result ~n id =
-  {
-    id;
-    commits = [];
-    proposals = [];
-    trace_lines = [];
-    decode_errors = 0;
-    messages_sent = 0;
-    bytes_sent = 0;
-    bytes_heal = 0;
-    reconnects = 0;
-    restarts = 0;
-    malformed_by_peer = Array.make n 0;
-    dropped_by_peer = Array.make n 0;
-  }
-
 (* --- transport-level hello frame (tag 0x00) ------------------------------- *)
 
 let hello_tag = 0x00
@@ -123,12 +107,40 @@ let decode_hello body =
       let protocol = R.bytes r in
       (id, n, protocol))
 
-(* --- result blobs (process mode, child -> coordinator pipe) --------------- *)
+(* --- result channel (incarnation -> coordinator report pipe) --------------- *)
 
-let encode_node_result r =
-  let w = W.create () in
-  W.uvar w r.id;
-  W.list w
+(* A result is a sequence of frames, each within the codec's limits (at most
+   65,536 list items, 16 MiB): runs of commits (tag 1), proposals (tag 2)
+   and trace lines (tag 3) in order, then one closing frame (tag 4) with the
+   scalar fields. *)
+let chunk_items = 4096
+let chunk_bytes = 1 lsl 20
+
+(* Split [xs] into runs of at most [chunk_items] elements and [chunk_bytes]
+   by [weight]; an element heavier than that gets a run of its own. *)
+let chunks weight xs =
+  let rec go acc run items bytes = function
+    | [] -> List.rev (if run = [] then acc else List.rev run :: acc)
+    | x :: rest ->
+        let b = weight x in
+        if run <> [] && (items = chunk_items || bytes + b > chunk_bytes) then
+          go (List.rev run :: acc) [ x ] 1 b rest
+        else go acc (x :: run) (items + 1) (bytes + b) rest
+  in
+  go [] [] 0 0 xs
+
+type chunk =
+  | Commits of commit list
+  | Proposals of proposal list
+  | Trace of string list
+  | Close of node_result
+
+let write_result fd r =
+  let send tag enc = Wire.write_all fd (Wire.frame (Wire.encode_body ~tag enc)) in
+  let send_runs tag weight enc xs =
+    List.iter (fun run -> send tag (fun w -> W.list w enc run)) (chunks weight xs)
+  in
+  send_runs 1 (fun _ -> 0)
     (fun w c ->
       W.uvar w c.c_height;
       W.uvar w c.c_view;
@@ -138,44 +150,46 @@ let encode_node_result r =
       W.svar w c.c_payload_id;
       W.uvar w c.c_payload_bytes)
     r.commits;
-  W.list w
+  send_runs 2 (fun _ -> 0)
     (fun w p ->
       W.uvar w p.p_height;
       W.u64 w p.p_hash;
       W.f64 w p.p_time_ms)
     r.proposals;
-  W.uvar w r.decode_errors;
-  W.uvar w r.messages_sent;
-  W.uvar w r.bytes_sent;
-  W.uvar w r.bytes_heal;
-  W.uvar w r.reconnects;
-  W.uvar w r.restarts;
-  W.list w W.uvar (Array.to_list r.malformed_by_peer);
-  W.list w W.uvar (Array.to_list r.dropped_by_peer);
-  W.list w W.bytes r.trace_lines;
-  W.contents w
+  send_runs 3 String.length W.bytes r.trace_lines;
+  send 4 (fun w ->
+      W.uvar w r.id;
+      W.uvar w r.decode_errors;
+      W.uvar w r.messages_sent;
+      W.uvar w r.bytes_sent;
+      W.uvar w r.bytes_heal;
+      W.uvar w r.reconnects;
+      W.uvar w r.restarts;
+      W.list w W.uvar (Array.to_list r.malformed_by_peer);
+      W.list w W.uvar (Array.to_list r.dropped_by_peer))
 
-let decode_node_result body =
-  Wire.run_decoder (fun () ->
-      let r = R.of_string body in
+let decode_chunk tag r =
+  match tag with
+  | 1 ->
+      Commits
+        (R.list r (fun r ->
+             let c_height = R.uvar r in
+             let c_view = R.uvar r in
+             let c_hash = R.u64 r in
+             let c_time_ms = R.f64 r in
+             let c_payload_id = R.svar r in
+             let c_payload_bytes = R.uvar r in
+             { c_height; c_view; c_hash; c_time_ms; c_payload_id; c_payload_bytes }))
+  | 2 ->
+      Proposals
+        (R.list r (fun r ->
+             let p_height = R.uvar r in
+             let p_hash = R.u64 r in
+             let p_time_ms = R.f64 r in
+             { p_height; p_hash; p_time_ms }))
+  | 3 -> Trace (R.list r R.bytes)
+  | 4 ->
       let id = R.uvar r in
-      let commits =
-        R.list r (fun r ->
-            let c_height = R.uvar r in
-            let c_view = R.uvar r in
-            let c_hash = R.u64 r in
-            let c_time_ms = R.f64 r in
-            let c_payload_id = R.svar r in
-            let c_payload_bytes = R.uvar r in
-            { c_height; c_view; c_hash; c_time_ms; c_payload_id; c_payload_bytes })
-      in
-      let proposals =
-        R.list r (fun r ->
-            let p_height = R.uvar r in
-            let p_hash = R.u64 r in
-            let p_time_ms = R.f64 r in
-            { p_height; p_hash; p_time_ms })
-      in
       let decode_errors = R.uvar r in
       let messages_sent = R.uvar r in
       let bytes_sent = R.uvar r in
@@ -184,32 +198,50 @@ let decode_node_result body =
       let restarts = R.uvar r in
       let malformed_by_peer = Array.of_list (R.list r R.uvar) in
       let dropped_by_peer = Array.of_list (R.list r R.uvar) in
-      let trace_lines = R.list r R.bytes in
-      R.expect_end r;
-      {
-        id;
-        commits;
-        proposals;
-        trace_lines;
-        decode_errors;
-        messages_sent;
-        bytes_sent;
-        bytes_heal;
-        reconnects;
-        restarts;
-        malformed_by_peer;
-        dropped_by_peer;
-      })
+      Close
+        {
+          id;
+          commits = [];
+          proposals = [];
+          trace_lines = [];
+          decode_errors;
+          messages_sent;
+          bytes_sent;
+          bytes_heal;
+          reconnects;
+          restarts;
+          malformed_by_peer;
+          dropped_by_peer;
+        }
+  | tag -> Wire.bad_tag tag
+
+let read_result fd =
+  let rec go commits proposals lines =
+    match Wire.read_frame fd with
+    | Error `Closed -> Error "channel closed before the closing frame"
+    | Error (`Frame_error e) -> Error (Wire.error_to_string e)
+    | Ok body -> (
+        match Wire.decode_body body decode_chunk with
+        | Error e -> Error (Wire.error_to_string e)
+        | Ok (Commits cs) -> go (cs :: commits) proposals lines
+        | Ok (Proposals ps) -> go commits (ps :: proposals) lines
+        | Ok (Trace ls) -> go commits proposals (ls :: lines)
+        | Ok (Close r) ->
+            let all runs = List.concat (List.rev runs) in
+            Ok
+              {
+                r with
+                commits = all commits;
+                proposals = all proposals;
+                trace_lines = all lines;
+              })
+  in
+  try go [] [] [] with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
 (* --- one validator incarnation -------------------------------------------- *)
 
 let now_ms t0 = (Unix.gettimeofday () -. t0) *. 1000.
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* The executor polls the stop flag between select rounds; this caps how
-   long shutdown waits on an idle cluster without costing anything on an
-   active one (inbound traffic wakes select immediately). *)
-let max_select_s = 0.02
 
 let read_file path =
   let ic = open_in_bin path in
@@ -217,43 +249,19 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* How one incarnation of a validator ended: externally stopped (normal
-   shutdown, deadline, executor exception) or crashed by the fault plane.
-   A crash carries the final WAL snapshot so the next incarnation can be
-   rebuilt from it even when no [wal_dir] is configured. *)
-type exit_reason = Stopped | Crashed of string
+let wal_path dir id = Filename.concat dir (Printf.sprintf "node-%d.wal" id)
 
-let node_main (type m) (module P : Protocol_intf.S with type msg = m)
-    (cfg : config) ~id ~incarnation ~t0 ~listener ~(ports : int array)
-    ~(plane : Fault_plane.t) ~(wal_blob : string option)
-    ~(wal_file : string option) ~(stop : bool Atomic.t)
-    ~(crash_flag : bool Atomic.t) ~on_done ~(on_recover_order : int -> unit)
-    ~(ctl_fd : Unix.file_descr option) ~register_teardown :
-    node_result * exit_reason =
-  let commits = ref [] and done_sent = ref false in
-  let proposals = ref [] in
-  let trace_lines = ref [] in
-  let malformed = Array.make cfg.n 0 in
-  let crashing = ref false in
-  let emit kind =
-    if cfg.trace then
-      trace_lines :=
-        Bft_obs.Trace.event_to_json
-          { Bft_obs.Trace.time = now_ms t0; node = id; kind }
-        :: !trace_lines
-  in
-  let wal =
-    match wal_blob with
-    | None -> P.wal_create ()
-    | Some s -> (
-        match P.wal_decode s with
-        | Ok w -> w
-        | Error reason ->
-            Log.err (fun m ->
-                m "node %d: corrupt WAL snapshot (%s); restarting empty" id
-                  reason);
-            P.wal_create ())
-  in
+(* An incarnation's sockets.  Whoever runs the incarnation opens them: the
+   coordinator for a thread, so that it can tear them down; the child for a
+   fork, since a forked child keeps only the calling thread and must start
+   its own sender. *)
+type sockets = {
+  listener : Unix.file_descr;
+  cm : Conn_manager.t;
+  mutable inbound : (Unix.file_descr * int) list;  (* fd, sender id *)
+}
+
+let open_sockets cfg ~id ~t0 ~listener ~ports ~plane =
   let hello =
     Wire.frame (encode_hello ~id ~n:cfg.n ~protocol:cfg.protocol_name)
   in
@@ -270,6 +278,63 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
       ~now_ms:(fun () -> now_ms t0)
       ~plane ()
   in
+  { listener; cm; inbound = [] }
+
+(* Closing the inbound side first unblocks every peer sender that might be
+   mid-write to us, then our own sender is reaped — or, with [~force],
+   closed under it without a join.  A crashed incarnation also closes its
+   listener: frames sent while the node is down must be lost, not parked in
+   an accept backlog for the next incarnation to read. *)
+let close_sockets ?(force = false) s =
+  List.iter (fun (fd, _) -> close_quiet fd) s.inbound;
+  close_quiet s.listener;
+  if force then Conn_manager.force_close s.cm else Conn_manager.shutdown s.cm
+
+(* How one incarnation ended: stopped (the coordinator's 'S', the hard
+   deadline, an executor exception) or crashed by the fault plane.  The next
+   incarnation rebuilds from the WAL file either way. *)
+type exit_reason = Stopped | Crashed
+
+(* A one-shot order or report on a pipe whose reader may be gone, which
+   then has nothing left to hear. *)
+let write_quiet fd s = try Wire.write_all fd s with Unix.Unix_error _ -> ()
+
+let node_main (type m) (module P : Protocol_intf.S with type msg = m)
+    (cfg : config) ~id ~incarnation ~t0 ~(sockets : sockets)
+    ~(plane : Fault_plane.t) ~(ctl : Unix.file_descr)
+    ~(report : Unix.file_descr) : node_result * exit_reason =
+  let commits = ref [] and done_sent = ref false in
+  let proposals = ref [] in
+  let trace_lines = ref [] in
+  let malformed = Array.make cfg.n 0 in
+  let crashing = ref false and stopping = ref false in
+  let emit kind =
+    if cfg.trace then
+      trace_lines :=
+        Bft_obs.Trace.event_to_json
+          { Bft_obs.Trace.time = now_ms t0; node = id; kind }
+        :: !trace_lines
+  in
+  let wal_file = Option.map (fun d -> wal_path d id) cfg.wal_dir in
+  let wal_blob =
+    match wal_file with
+    | Some path when incarnation > 0 && Sys.file_exists path -> (
+        try Some (read_file path) with Sys_error _ -> None)
+    | _ -> None
+  in
+  let wal =
+    match wal_blob with
+    | None -> P.wal_create ()
+    | Some s -> (
+        match P.wal_decode s with
+        | Ok w -> w
+        | Error reason ->
+            Log.err (fun m ->
+                m "node %d: corrupt WAL snapshot (%s); restarting empty" id
+                  reason);
+            P.wal_create ())
+  in
+  let listener = sockets.listener and cm = sockets.cm in
   (* Wall-clock timers; touched only by the executor thread. *)
   let timers : (float * bool ref * (unit -> unit)) list ref = ref [] in
   let set_timer delay f =
@@ -322,7 +387,7 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
         (fun (idx, _node) ->
           if idx >= !next_order then begin
             next_order := idx + 1;
-            on_recover_order idx
+            write_quiet report (Printf.sprintf "O%c" (Char.chr (idx land 0xff)))
           end)
         (Fault_plane.recoveries_upto plane ~view:(view ()))
   in
@@ -388,7 +453,7 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
              through [on_commit]. *)
           if b.Block.height >= cfg.target_blocks && not !done_sent then begin
             done_sent := true;
-            on_done ()
+            write_quiet report "D"
           end);
       on_propose =
         (fun b ->
@@ -404,15 +469,10 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
          else None);
     }
   in
-  let conns : (Unix.file_descr * int) list ref = ref [] in
   let close_conn fd =
-    conns := List.filter (fun (fd', _) -> fd' <> fd) !conns;
+    sockets.inbound <- List.filter (fun (fd', _) -> fd' <> fd) sockets.inbound;
     close_quiet fd
   in
-  register_teardown (fun () ->
-      List.iter (fun (fd, _) -> close_quiet fd) !conns;
-      close_quiet listener;
-      Conn_manager.force_close cm);
   if incarnation > 0 then emit (Bft_obs.Trace.Fault Bft_obs.Trace.Recover);
   (try
      let node = P.create ~wal env in
@@ -462,84 +522,73 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
                | Ok (src, n', proto)
                  when src >= 0 && src < cfg.n && src <> id && n' = cfg.n
                       && String.equal proto cfg.protocol_name ->
-                   conns := (fd, src) :: !conns
+                   sockets.inbound <- (fd, src) :: sockets.inbound
                | Ok _ | Error _ -> close_quiet fd)
            | Error _ | (exception Unix.Unix_error _) -> close_quiet fd)
      in
-     let handle_ctl fd =
+     (* 'K' crashes this incarnation; 'S', or the coordinator's end of the
+        pipe closing, stops it. *)
+     let handle_ctl () =
        let buf = Bytes.create 1 in
-       match Unix.read fd buf 0 1 with
-       | 0 -> Atomic.set stop true
-       | _ -> (
-           match Bytes.get buf 0 with
-           | 'K' -> Atomic.set crash_flag true
-           | _ -> Atomic.set stop true)
-       | exception Unix.Unix_error _ -> Atomic.set stop true
+       match Unix.read ctl buf 0 1 with
+       | 1 when Bytes.get buf 0 = 'K' -> crashing := true
+       | _ | (exception Unix.Unix_error _) -> stopping := true
      in
      P.start node;
      post_event ();
      drain_self ();
      let hard_deadline = cfg.timeout_ms +. 5000. in
-     while (not (Atomic.get stop)) && not !crashing do
-       (* Wall-clock crashes land at event-loop boundaries, never inside
-          a handler, so the WAL file on disk is always a post-handler
-          snapshot. *)
-       if Atomic.get crash_flag then crashing := true
-       else begin
-         fire_due ();
-         drain_self ();
-         if not !crashing then begin
-           if now_ms t0 > hard_deadline then Atomic.set stop true
-           else begin
-             let timeout =
-               let d = (next_deadline () -. now_ms t0) /. 1000. in
-               Float.max 0. (Float.min d max_select_s)
-             in
-             let fds =
-               (listener
-               :: (match ctl_fd with Some f -> [ f ] | None -> []))
-               @ List.map fst !conns
-             in
-             match Unix.select fds [] [] timeout with
-             | exception Unix.Unix_error (EINTR, _, _) -> ()
-             | exception Unix.Unix_error (EBADF, _, _) ->
-                 (* Watchdog force-closed our sockets under us. *)
-                 Atomic.set stop true
-             | ready, _, _ ->
-                 List.iter
-                   (fun fd ->
-                     if !crashing then ()
-                     else if fd = listener then accept_conn ()
-                     else if ctl_fd = Some fd then handle_ctl fd
-                     else
-                       match List.assoc_opt fd !conns with
-                       | None -> ()
-                       | Some src -> (
-                           match Wire.read_frame fd with
-                           | Ok body -> (
-                               match P.decode_msg body with
-                               | Ok msg ->
-                                   deliver ~src
-                                     ~bytes:(String.length body + 4)
-                                     msg;
-                                   drain_self ()
-                               | Error reason ->
-                                   malformed.(src) <- malformed.(src) + 1;
-                                   Log.debug (fun m ->
-                                       m
-                                         "node %d: dropped frame from %d: \
-                                          %s"
-                                         id src reason))
-                           | Error `Closed -> close_conn fd
-                           | Error (`Frame_error e) ->
-                               malformed.(src) <- malformed.(src) + 1;
-                               Log.debug (fun m ->
-                                   m "node %d: framing error from %d: %s" id
-                                     src (Wire.error_to_string e));
-                               close_conn fd
-                           | exception Unix.Unix_error _ -> close_conn fd))
-                   ready
-           end
+     (* Wall-clock crashes land at event-loop boundaries, never inside a
+        handler, so the WAL file on disk is always a post-handler
+        snapshot. *)
+     while not (!stopping || !crashing) do
+       fire_due ();
+       drain_self ();
+       if not !crashing then begin
+         if now_ms t0 > hard_deadline then stopping := true
+         else begin
+           let timeout =
+             let d = Float.min (next_deadline ()) hard_deadline in
+             Float.max 0. ((d -. now_ms t0) /. 1000.)
+           in
+           let fds = ctl :: listener :: List.map fst sockets.inbound in
+           match Unix.select fds [] [] timeout with
+           | exception Unix.Unix_error (EINTR, _, _) -> ()
+           | exception Unix.Unix_error (EBADF, _, _) ->
+               (* A force-stop closed our sockets under us. *)
+               stopping := true
+           | ready, _, _ ->
+               List.iter
+                 (fun fd ->
+                   if !crashing || !stopping then ()
+                   else if fd = ctl then handle_ctl ()
+                   else if fd = listener then accept_conn ()
+                   else
+                     match List.assoc_opt fd sockets.inbound with
+                     | None -> ()
+                     | Some src -> (
+                         match Wire.read_frame fd with
+                         | Ok body -> (
+                             match P.decode_msg body with
+                             | Ok msg ->
+                                 deliver ~src
+                                   ~bytes:(String.length body + 4)
+                                   msg;
+                                 drain_self ()
+                             | Error reason ->
+                                 malformed.(src) <- malformed.(src) + 1;
+                                 Log.debug (fun m ->
+                                     m "node %d: dropped frame from %d: %s" id
+                                       src reason))
+                         | Error `Closed -> close_conn fd
+                         | Error (`Frame_error e) ->
+                             malformed.(src) <- malformed.(src) + 1;
+                             Log.debug (fun m ->
+                                 m "node %d: framing error from %d: %s" id src
+                                   (Wire.error_to_string e));
+                             close_conn fd
+                         | exception Unix.Unix_error _ -> close_conn fd))
+                 ready
          end
        end
      done
@@ -556,14 +605,7 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
          ~timeout_s:(0.25 +. (3. *. cfg.link_delay_ms /. 1000.)));
     persist_wal ()
   end;
-  (* Closing the inbound side first unblocks every peer sender that might
-     be mid-write to us, then our own sender is reaped.  A crashed
-     incarnation also closes its listener: frames sent while the node is
-     down must be lost, not parked in an accept backlog for the next
-     incarnation to read. *)
-  List.iter (fun (fd, _) -> close_quiet fd) !conns;
-  close_quiet listener;
-  Conn_manager.shutdown cm;
+  close_sockets sockets;
   let st = Conn_manager.stats cm in
   if cfg.trace then
     Array.iteri
@@ -588,9 +630,31 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
       dropped_by_peer = st.Conn_manager.dropped;
     }
   in
-  (r, if !crashing then Crashed (P.wal_encode wal) else Stopped)
+  (r, if !crashing then Crashed else Stopped)
 
-(* --- coordination --------------------------------------------------------- *)
+(* Run one incarnation, then report its result and close its pipe ends.  A
+   crashed child dies by [SIGKILL] with no farewell — its volatile state and
+   result die with it, only the WAL file survives — while a crashed thread
+   reports its result like a stopped one. *)
+let incarnation_main (type m) (module P : Protocol_intf.S with type msg = m)
+    cfg ~id ~incarnation ~t0 ~sockets ~plane ~ctl ~report =
+  let r, reason =
+    node_main
+      (module P : Protocol_intf.S with type msg = m)
+      cfg ~id ~incarnation ~t0 ~sockets ~plane ~ctl ~report
+  in
+  if reason = Crashed && cfg.mode = Processes then
+    Unix.kill (Unix.getpid ()) Sys.sigkill;
+  (try
+     Wire.write_all report "R";
+     write_result report r
+   with e ->
+     Log.err (fun m ->
+         m "node %d: cannot report its result: %s" id (Printexc.to_string e)));
+  close_quiet report;
+  close_quiet ctl
+
+(* --- coordinator ------------------------------------------------------------ *)
 
 let make_listener ~port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -623,354 +687,186 @@ let sort_fault_log log =
     (fun a b -> Float.compare a.fe_time_ms b.fe_time_ms)
     (List.rev log)
 
-(* --- threads mode ---------------------------------------------------------- *)
-
-(* Per-node supervision slot: the channel between the coordinator (wall
-   driver, logical recovery orders, watchdog) and the node's supervisor
-   loop. *)
-type slot = {
-  sm : Mutex.t;
-  sc : Condition.t;
-  mutable recover_ordered : bool;
-  crash_flag : bool Atomic.t;
-  mutable teardown : unit -> unit;
-}
-
-let merge_incarnations ~n ~id rs =
-  match rs with
-  | [] -> empty_node_result ~n id
-  | _ ->
-      let sum f = List.fold_left (fun a r -> a + f r) 0 rs in
-      let sum_arr f =
-        let acc = Array.make n 0 in
-        List.iter
-          (fun r ->
-            Array.iteri
-              (fun j v -> if j < n then acc.(j) <- acc.(j) + v)
-              (f r))
-          rs;
-        acc
-      in
-      {
-        id;
-        commits = List.concat_map (fun r -> r.commits) rs;
-        proposals = List.concat_map (fun r -> r.proposals) rs;
-        trace_lines = List.concat_map (fun r -> r.trace_lines) rs;
-        decode_errors = sum (fun r -> r.decode_errors);
-        messages_sent = sum (fun r -> r.messages_sent);
-        bytes_sent = sum (fun r -> r.bytes_sent);
-        bytes_heal = sum (fun r -> r.bytes_heal);
-        reconnects = sum (fun r -> r.reconnects);
-        restarts = List.length rs - 1;
-        malformed_by_peer = sum_arr (fun r -> r.malformed_by_peer);
-        dropped_by_peer = sum_arr (fun r -> r.dropped_by_peer);
-      }
-
-let run_threads (type m) (module P : Protocol_intf.S with type msg = m) cfg
-    ~listeners ~ports ~plane ~t0 =
-  let stop = Atomic.make false in
-  let done_flags = Array.init cfg.n (fun _ -> Atomic.make false) in
-  let slots =
-    Array.init cfg.n (fun _ ->
-        {
-          sm = Mutex.create ();
-          sc = Condition.create ();
-          recover_ordered = false;
-          crash_flag = Atomic.make false;
-          teardown = (fun () -> ());
-        })
-  in
-  let fault_log = ref [] in
-  let flm = Mutex.create () in
-  let log_fault ~node fe_kind =
-    Mutex.lock flm;
-    fault_log := { fe_time_ms = now_ms t0; fe_node = node; fe_kind } :: !fault_log;
-    Mutex.unlock flm
-  in
-  let results : node_result list array = Array.make cfg.n [] in
-  let order_recover idx =
-    match Fault_plane.recovery_of_index plane idx with
-    | None -> ()
-    | Some (_, node) ->
-        let s = slots.(node) in
-        Mutex.lock s.sm;
-        s.recover_ordered <- true;
-        Condition.broadcast s.sc;
-        Mutex.unlock s.sm
-  in
-  let supervisor i listener0 =
-    let wal_file =
-      Option.map
-        (fun d -> Filename.concat d (Printf.sprintf "node-%d.wal" i))
-        cfg.wal_dir
-    in
-    let rec go incarnation listener wal_blob =
-      let r, reason =
-        node_main
-          (module P : Protocol_intf.S with type msg = m)
-          cfg ~id:i ~incarnation ~t0 ~listener ~ports ~plane ~wal_blob
-          ~wal_file ~stop ~crash_flag:slots.(i).crash_flag
-          ~on_done:(fun () -> Atomic.set done_flags.(i) true)
-          ~on_recover_order:order_recover ~ctl_fd:None
-          ~register_teardown:(fun f -> slots.(i).teardown <- f)
-      in
-      results.(i) <- r :: results.(i);
-      match reason with
-      | Stopped -> ()
-      | Crashed blob -> (
-          log_fault ~node:i Bft_obs.Trace.Crash;
-          let s = slots.(i) in
-          Mutex.lock s.sm;
-          while (not s.recover_ordered) && not (Atomic.get stop) do
-            Condition.wait s.sc s.sm
-          done;
-          let ordered = s.recover_ordered in
-          s.recover_ordered <- false;
-          Mutex.unlock s.sm;
-          if ordered && not (Atomic.get stop) then begin
-            Atomic.set s.crash_flag false;
-            match make_listener ~port:ports.(i) with
-            | exception _ ->
-                Log.err (fun m ->
-                    m "node %d: cannot rebind port %d for recovery" i
-                      ports.(i))
-            | listener', _ ->
-                log_fault ~node:i Bft_obs.Trace.Recover;
-                go (incarnation + 1) listener' (Some blob)
-          end)
-    in
-    go 0 listener0 None
-  in
-  let threads =
-    Array.mapi
-      (fun i (listener, _) -> Thread.create (fun () -> supervisor i listener) ())
-      listeners
-  in
-  (* Wall driver: fires scheduled crashes (flag, picked up at the next
-     event boundary), recoveries (supervisor wake-up) and records window
-     edges for the fault-event record. *)
-  let driver () =
+let merge_incarnations ~n ~id ~restarts rs =
+  let sum f = List.fold_left (fun a r -> a + f r) 0 rs in
+  let sum_arr f =
+    let acc = Array.make n 0 in
     List.iter
-      (fun (at, ev) ->
-        let rec wait () =
-          if not (Atomic.get stop) then begin
-            let remaining = (t0 +. (at /. 1000.)) -. Unix.gettimeofday () in
-            if remaining > 0. then begin
-              Thread.delay (Float.min remaining max_select_s);
-              wait ()
-            end
-          end
-        in
-        wait ();
-        if not (Atomic.get stop) then
-          match ev with
-          | Fault_plane.Wall_crash node ->
-              Atomic.set slots.(node).crash_flag true
-          | Fault_plane.Wall_recover node ->
-              let s = slots.(node) in
-              Mutex.lock s.sm;
-              s.recover_ordered <- true;
-              Condition.broadcast s.sc;
-              Mutex.unlock s.sm
-          | Fault_plane.Wall_edge f -> log_fault ~node:(-1) f)
-      (Fault_plane.wall_timeline plane)
+      (fun r ->
+        Array.iteri (fun j v -> if j < n then acc.(j) <- acc.(j) + v) (f r))
+      rs;
+    acc
   in
-  let driver_t =
-    if Fault_plane.wall_timeline plane = [] then None
-    else Some (Thread.create driver ())
-  in
-  let deadline = t0 +. (cfg.timeout_ms /. 1000.) in
-  let all_done () = Array.for_all Atomic.get done_flags in
-  while (not (all_done ())) && Unix.gettimeofday () < deadline do
-    Thread.delay 0.002
-  done;
-  let reached = all_done () in
-  Atomic.set stop true;
-  Array.iter
-    (fun s ->
-      Mutex.lock s.sm;
-      Condition.broadcast s.sc;
-      Mutex.unlock s.sm)
-    slots;
-  (* Watchdog: if the supervisors have not joined shortly after the stop
-     flag, force-close every incarnation's sockets out from under it.
-     [Timed_out] means exactly that this teardown was needed. *)
-  let joined = Atomic.make false in
-  let forced = Atomic.make false in
-  let watchdog =
-    Thread.create
-      (fun () ->
-        let d = Unix.gettimeofday () +. 2.0 in
-        while (not (Atomic.get joined)) && Unix.gettimeofday () < d do
-          Thread.delay 0.05
-        done;
-        if not (Atomic.get joined) then begin
-          Atomic.set forced true;
-          Array.iter (fun s -> try s.teardown () with _ -> ()) slots
-        end)
-      ()
-  in
-  Array.iter Thread.join threads;
-  Atomic.set joined true;
-  (match driver_t with Some th -> Thread.join th | None -> ());
-  Thread.join watchdog;
   {
-    nodes =
-      Array.mapi
-        (fun i rs -> merge_incarnations ~n:cfg.n ~id:i (List.rev rs))
-        results;
-    wall_ms = now_ms t0;
-    reached_target = reached;
-    outcome = (if Atomic.get forced then Timed_out else Completed);
-    fault_events = sort_fault_log !fault_log;
+    id;
+    commits = List.concat_map (fun r -> r.commits) rs;
+    proposals = List.concat_map (fun r -> r.proposals) rs;
+    trace_lines = List.concat_map (fun r -> r.trace_lines) rs;
+    decode_errors = sum (fun r -> r.decode_errors);
+    messages_sent = sum (fun r -> r.messages_sent);
+    bytes_sent = sum (fun r -> r.bytes_sent);
+    bytes_heal = sum (fun r -> r.bytes_heal);
+    reconnects = sum (fun r -> r.reconnects);
+    restarts;
+    malformed_by_peer = sum_arr (fun r -> r.malformed_by_peer);
+    dropped_by_peer = sum_arr (fun r -> r.dropped_by_peer);
   }
 
-(* --- process mode ---------------------------------------------------------- *)
+(* One running incarnation as the coordinator sees it: how it runs, the
+   write end of its control pipe ('K' = crash, 'S' = stop) and the read end
+   of its report pipe ('D' = target reached, 'O' idx = the observer ordered
+   logical recovery [idx], 'R' = a result follows; EOF = the incarnation is
+   over). *)
+type backend = Thread of Thread.t * sockets | Child of int
 
-(* Coordinator-side view of one validator process.  The result pipe
-   carries a byte protocol: 'D' = target reached, 'O' idx = the observer
-   ordered logical recovery [idx], 'R' = a result blob follows; EOF = the
-   process died (expected exactly when a crash was scheduled or ordered —
-   a crashing child is killed with SIGKILL, no farewell). *)
-type child = {
-  mutable pid : int;
-  mutable rfd : Unix.file_descr;
-  mutable cwfd : Unix.file_descr;
-  mutable alive : bool;
-  mutable got_r : bool;
+type live = { backend : backend; ctl : Unix.file_descr; rep : Unix.file_descr }
+type state = Running of live | Down | Exited
+
+type member = {
+  mutable state : state;
+  mutable spawns : int;
   mutable target_met : bool;
-  mutable down : bool;
-  mutable dead : bool;
-  mutable restarts : int;
-  mutable recover_pending : bool;
   mutable kill_sent : bool;
-  mutable reaped : bool;
+  mutable recover_pending : bool;
+  mutable results : node_result list;  (* newest first *)
 }
 
-let run_processes (type m) (module P : Protocol_intf.S with type msg = m) cfg
+(* How long stopped incarnations get to report before they are forced. *)
+let stop_grace_s = 5.
+
+let coordinate (type m) (module P : Protocol_intf.S with type msg = m) cfg
     ~(listeners : (Unix.file_descr * int) array) ~ports ~plane ~t0 =
-  let children =
+  let members =
     Array.init cfg.n (fun _ ->
         {
-          pid = -1;
-          rfd = Unix.stdin;
-          cwfd = Unix.stdin;
-          alive = false;
-          got_r = false;
+          state = Down;
+          spawns = 0;
           target_met = false;
-          down = false;
-          dead = false;
-          restarts = 0;
-          recover_pending = false;
           kill_sent = false;
-          reaped = false;
+          recover_pending = false;
+          results = [];
         })
   in
-  (* Initial listeners are owned by the parent until the matching child is
-     forked; after the initial round they are closed parent-side and a
-     re-spawned child binds its (fixed) port itself. *)
-  let listener_opts = Array.map (fun l -> Some l) listeners in
-  let spawn i ~incarnation =
-    let r, w = Unix.pipe () in
-    let cr, cw = Unix.pipe () in
-    match Unix.fork () with
-    | 0 ->
-        close_quiet r;
-        close_quiet cw;
-        Array.iteri
-          (fun j c ->
-            if j <> i && c.alive then begin
-              close_quiet c.rfd;
-              close_quiet c.cwfd
-            end)
-          children;
-        Array.iteri
-          (fun j l ->
-            match l with
-            | Some (fd, _) when j <> i -> close_quiet fd
-            | _ -> ())
-          listener_opts;
-        let listener =
-          match listener_opts.(i) with
-          | Some (fd, _) -> fd
-          | None -> fst (make_listener ~port:ports.(i))
-        in
-        let wal_file =
-          Option.map
-            (fun d -> Filename.concat d (Printf.sprintf "node-%d.wal" i))
-            cfg.wal_dir
-        in
-        let wal_blob =
-          match wal_file with
-          | Some path when incarnation > 0 && Sys.file_exists path -> (
-              try Some (read_file path) with Sys_error _ -> None)
-          | _ -> None
-        in
-        let stop = Atomic.make false in
-        let crash_flag = Atomic.make false in
-        let result, reason =
-          try
-            node_main
-              (module P : Protocol_intf.S with type msg = m)
-              cfg ~id:i ~incarnation ~t0 ~listener ~ports ~plane ~wal_blob
-              ~wal_file ~stop ~crash_flag
-              ~on_done:(fun () ->
-                try ignore (Unix.write_substring w "D" 0 1)
-                with Unix.Unix_error _ -> ())
-              ~on_recover_order:(fun idx ->
-                let b = Bytes.create 2 in
-                Bytes.set b 0 'O';
-                Bytes.set b 1 (Char.chr (idx land 0xff));
-                try ignore (Unix.write w b 0 2)
-                with Unix.Unix_error _ -> ())
-              ~ctl_fd:(Some cr)
-              ~register_teardown:(fun _ -> ())
-          with _ -> (empty_node_result ~n:cfg.n i, Stopped)
-        in
-        (match reason with
-        | Crashed _ ->
-            (* A real crash: the process is killed outright, its volatile
-               state and pending result die with it.  Only the WAL file
-               survives for the next incarnation. *)
-            Unix.kill (Unix.getpid ()) Sys.sigkill
-        | Stopped -> ());
-        (try
-           ignore (Unix.write_substring w "R" 0 1);
-           Wire.write_all w (Wire.frame (encode_node_result result))
-         with _ -> ());
-        close_quiet w;
-        Unix._exit 0
-    | pid ->
-        close_quiet w;
-        close_quiet cr;
-        (match listener_opts.(i) with
-        | Some (fd, _) ->
-            close_quiet fd;
-            listener_opts.(i) <- None
-        | None -> ());
-        let c = children.(i) in
-        c.pid <- pid;
-        c.rfd <- r;
-        c.cwfd <- cw;
-        c.alive <- true;
-        c.got_r <- false;
-        c.target_met <- false;
-        c.down <- false;
-        c.kill_sent <- false;
-        c.reaped <- false;
-        c.restarts <- incarnation
-  in
-  for i = 0 to cfg.n - 1 do
-    spawn i ~incarnation:0
-  done;
   let fault_log = ref [] in
   let log_fault node fe_kind =
     fault_log := { fe_time_ms = now_ms t0; fe_node = node; fe_kind } :: !fault_log
   in
+  (* Initial listeners the coordinator has not handed over yet: a forked
+     child closes them, and every other node's pipe ends. *)
+  let held = Array.map (fun (fd, _) -> Some fd) listeners in
+  let spawn i listener =
+    let m = members.(i) in
+    let incarnation = m.spawns in
+    let ctl_r, ctl_w = Unix.pipe () in
+    let rep_r, rep_w = Unix.pipe () in
+    let body sockets =
+      incarnation_main
+        (module P : Protocol_intf.S with type msg = m)
+        cfg ~id:i ~incarnation ~t0 ~sockets ~plane ~ctl:ctl_r ~report:rep_w
+    in
+    let backend =
+      match cfg.mode with
+      | Threads ->
+          let sockets = open_sockets cfg ~id:i ~t0 ~listener ~ports ~plane in
+          Thread (Thread.create body sockets, sockets)
+      | Processes -> (
+          match Unix.fork () with
+          | 0 ->
+              close_quiet ctl_w;
+              close_quiet rep_r;
+              Array.iter (Option.iter close_quiet) held;
+              Array.iter
+                (fun m ->
+                  match m.state with
+                  | Running l ->
+                      close_quiet l.ctl;
+                      close_quiet l.rep
+                  | Down | Exited -> ())
+                members;
+              (try body (open_sockets cfg ~id:i ~t0 ~listener ~ports ~plane)
+               with e ->
+                 Log.err (fun f ->
+                     f "node %d: incarnation died: %s" i (Printexc.to_string e)));
+              Unix._exit 0
+          | pid ->
+              close_quiet ctl_r;
+              close_quiet rep_w;
+              close_quiet listener;
+              Child pid)
+    in
+    m.spawns <- m.spawns + 1;
+    m.target_met <- false;
+    m.kill_sent <- false;
+    m.state <- Running { backend; ctl = ctl_w; rep = rep_r }
+  in
   let respawn i =
-    let c = children.(i) in
-    log_fault i Bft_obs.Trace.Recover;
-    spawn i ~incarnation:(c.restarts + 1)
+    match make_listener ~port:ports.(i) with
+    | fd, _ ->
+        log_fault i Bft_obs.Trace.Recover;
+        spawn i fd
+    | exception e ->
+        Log.err (fun f ->
+            f "node %d: cannot rebind port %d for recovery: %s" i ports.(i)
+              (Printexc.to_string e));
+        members.(i).state <- Exited
+  in
+  let order_recovery i =
+    let m = members.(i) in
+    match m.state with
+    | Down -> respawn i
+    | Running _ -> m.recover_pending <- true
+    | Exited -> ()
+  in
+  let stopping = ref false in
+  (* EOF: the incarnation is over.  Before the stop phase it crashed if a
+     crash was ordered or anchored for it; otherwise it is gone for good. *)
+  let finish i l =
+    close_quiet l.ctl;
+    close_quiet l.rep;
+    (match l.backend with
+    | Thread (th, _) -> Thread.join th
+    | Child pid -> ( try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()));
+    let m = members.(i) in
+    if
+      (not !stopping)
+      && (m.kill_sent
+         || (m.spawns = 1 && Fault_plane.crash_anchor plane ~node:i <> None))
+    then begin
+      m.state <- Down;
+      log_fault i Bft_obs.Trace.Crash;
+      if m.recover_pending then begin
+        m.recover_pending <- false;
+        respawn i
+      end
+    end
+    else m.state <- Exited
+  in
+  let on_report i l =
+    let buf = Bytes.create 1 in
+    let byte () =
+      match Unix.read l.rep buf 0 1 with
+      | 0 -> None
+      | _ -> Some (Bytes.get buf 0)
+      | exception Unix.Unix_error _ -> None
+    in
+    match byte () with
+    | None -> finish i l
+    | Some 'D' -> members.(i).target_met <- true
+    | Some 'O' -> (
+        match byte () with
+        | None -> finish i l
+        | Some idx ->
+            if not !stopping then
+              Option.iter
+                (fun (_, node) -> order_recovery node)
+                (Fault_plane.recovery_of_index plane (Char.code idx)))
+    | Some 'R' -> (
+        match read_result l.rep with
+        | Ok r -> members.(i).results <- r :: members.(i).results
+        | Error reason ->
+            Log.err (fun f -> f "node %d: unreadable result (%s)" i reason);
+            finish i l)
+    | Some _ -> ()
   in
   let timeline = ref (Fault_plane.wall_timeline plane) in
   let fire_due_wall () =
@@ -980,199 +876,115 @@ let run_processes (type m) (module P : Protocol_intf.S with type msg = m) cfg
       | (at, ev) :: rest when at <= now ->
           timeline := rest;
           (match ev with
-          | Fault_plane.Wall_crash node ->
-              let c = children.(node) in
-              if c.alive && not c.kill_sent then begin
-                c.kill_sent <- true;
-                try ignore (Unix.write_substring c.cwfd "K" 0 1)
-                with Unix.Unix_error _ -> ()
-              end
-          | Fault_plane.Wall_recover node ->
-              let c = children.(node) in
-              if c.down then respawn node
-              else if not c.dead then c.recover_pending <- true
+          | Fault_plane.Wall_crash node -> (
+              let m = members.(node) in
+              match m.state with
+              | Running l when not m.kill_sent ->
+                  m.kill_sent <- true;
+                  write_quiet l.ctl "K"
+              | _ -> ())
+          | Fault_plane.Wall_recover node -> order_recovery node
           | Fault_plane.Wall_edge f -> log_fault (-1) f);
           go ()
       | _ -> ()
     in
     go ()
   in
-  let expected_crash i =
-    let c = children.(i) in
-    c.kill_sent
-    || (c.restarts = 0 && Fault_plane.crash_anchor plane ~node:i <> None)
+  let running () =
+    List.concat
+      (List.init cfg.n (fun i ->
+           match members.(i).state with
+           | Running l -> [ (i, l) ]
+           | Down | Exited -> []))
   in
-  let handle_eof i =
-    let c = children.(i) in
-    c.alive <- false;
-    close_quiet c.rfd;
-    close_quiet c.cwfd;
-    (try ignore (Unix.waitpid [] c.pid) with Unix.Unix_error _ -> ());
-    c.reaped <- true;
-    if expected_crash i && not c.down then begin
-      c.down <- true;
-      log_fault i Bft_obs.Trace.Crash;
-      if c.recover_pending then begin
-        c.recover_pending <- false;
-        respawn i
-      end
-    end
-    else c.dead <- true
-  in
-  let handle_byte i =
-    let c = children.(i) in
-    let buf = Bytes.create 1 in
-    match Unix.read c.rfd buf 0 1 with
-    | 0 -> handle_eof i
-    | _ -> (
-        match Bytes.get buf 0 with
-        | 'D' -> c.target_met <- true
-        | 'R' -> c.got_r <- true
-        | 'O' -> (
-            match Unix.read c.rfd buf 0 1 with
-            | 0 -> handle_eof i
-            | _ -> (
-                let idx = Char.code (Bytes.get buf 0) in
-                match Fault_plane.recovery_of_index plane idx with
-                | Some (_, node) ->
-                    let cn = children.(node) in
-                    if cn.down then respawn node
-                    else if not cn.dead then cn.recover_pending <- true
-                | None -> ())
-            | exception Unix.Unix_error _ -> handle_eof i)
-        | _ -> ())
-    | exception Unix.Unix_error _ -> handle_eof i
-  in
-  (* Phase 1: run until every child has either reported its target, sent
-     an early result (executor error), or died for good — with crashed
-     children re-spawned along the way. *)
-  let settled c = c.target_met || c.got_r || c.dead in
-  let deadline = t0 +. (cfg.timeout_ms /. 1000.) in
-  let pending () =
-    Array.exists (fun c -> (not (settled c)) || c.down) children
-    && Unix.gettimeofday () < deadline
-  in
-  while pending () do
-    fire_due_wall ();
-    let fds =
-      Array.to_list children
-      |> List.filter_map (fun c ->
-             if c.alive && not c.got_r then Some c.rfd else None)
-    in
-    if fds = [] then Thread.delay 0.01
-    else
-      match Unix.select fds [] [] max_select_s with
+  (* Block until the next report, wall-clock fault event or [until]; go on
+     while [busy ()]. *)
+  let rec pump ~until busy =
+    if busy () && Unix.gettimeofday () < until then begin
+      if not !stopping then fire_due_wall ();
+      let next_event =
+        match !timeline with
+        | (at, _) :: _ when not !stopping -> t0 +. (at /. 1000.)
+        | _ -> infinity
+      in
+      let live = running () in
+      let timeout =
+        Float.max 0. (Float.min until next_event -. Unix.gettimeofday ())
+      in
+      (match Unix.select (List.map (fun (_, l) -> l.rep) live) [] [] timeout with
       | exception Unix.Unix_error (EINTR, _, _) -> ()
       | ready, _, _ ->
           List.iter
-            (fun fd ->
-              let idx = ref (-1) in
-              Array.iteri
-                (fun i c -> if c.alive && c.rfd = fd then idx := i)
-                children;
-              if !idx >= 0 then handle_byte !idx)
-            ready
-  done;
-  let reached = Array.for_all (fun c -> c.target_met) children in
-  (* Phase 2: stop every live child, collect result blobs, then reap with
-     TERM -> KILL escalation.  Needing SIGKILL marks the run Timed_out. *)
-  Array.iter
-    (fun c ->
-      if c.alive then
-        try ignore (Unix.write_substring c.cwfd "S" 0 1)
-        with Unix.Unix_error _ -> ())
-    children;
-  let read_result i =
-    let c = children.(i) in
-    if not c.alive then { (empty_node_result ~n:cfg.n i) with restarts = c.restarts }
-    else begin
-      let blob_deadline = Unix.gettimeofday () +. 8. in
-      let rec await_marker () =
-        if c.got_r then true
-        else
-          match Unix.select [ c.rfd ] [] [] 0.1 with
-          | exception Unix.Unix_error (EINTR, _, _) -> await_marker ()
-          | [], _, _ ->
-              if Unix.gettimeofday () < blob_deadline then await_marker ()
-              else false
-          | _ -> (
-              let buf = Bytes.create 1 in
-              match Unix.read c.rfd buf 0 1 with
-              | 0 -> false
-              | _ ->
-                  if Bytes.get buf 0 = 'R' then true
-                  else if Bytes.get buf 0 = 'O' then begin
-                    (* late recovery order; consume its index byte *)
-                    (try ignore (Unix.read c.rfd buf 0 1)
-                     with Unix.Unix_error _ -> ());
-                    await_marker ()
-                  end
-                  else await_marker ()
-              | exception Unix.Unix_error _ -> false)
-      in
-      let result =
-        if not (await_marker ()) then
-          { (empty_node_result ~n:cfg.n i) with restarts = c.restarts }
-        else
-          match Wire.read_frame c.rfd with
-          | Ok body -> (
-              match decode_node_result body with
-              | Ok nr -> { nr with restarts = c.restarts }
-              | Error _ ->
-                  { (empty_node_result ~n:cfg.n i) with restarts = c.restarts })
-          | Error _ | (exception Unix.Unix_error _) ->
-              { (empty_node_result ~n:cfg.n i) with restarts = c.restarts }
-      in
-      close_quiet c.rfd;
-      close_quiet c.cwfd;
-      result
+            (fun (i, l) ->
+              (* An earlier report in this round may have ended it. *)
+              match members.(i).state with
+              | Running l' when l' == l && List.mem l.rep ready -> on_report i l
+              | _ -> ())
+            live);
+      pump ~until busy
     end
   in
-  let nodes = Array.init cfg.n read_result in
-  let forced = ref false in
-  let rec reap_poll pid until =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ ->
-        if Unix.gettimeofday () < until then begin
-          Thread.delay 0.02;
-          reap_poll pid until
-        end
-        else false
-    | _ -> true
-    | exception Unix.Unix_error _ -> true
-  in
-  Array.iter
-    (fun c ->
-      if not c.reaped then begin
-        if not (reap_poll c.pid (Unix.gettimeofday () +. 0.3)) then begin
-          (try Unix.kill c.pid Sys.sigterm with Unix.Unix_error _ -> ());
-          if not (reap_poll c.pid (Unix.gettimeofday () +. 0.5)) then begin
-            forced := true;
-            (try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] c.pid) with Unix.Unix_error _ -> ()
-          end
-        end;
-        c.reaped <- true
-      end)
-    children;
+  Array.iteri
+    (fun i (fd, _) ->
+      held.(i) <- None;
+      spawn i fd)
+    listeners;
+  pump
+    ~until:(t0 +. (cfg.timeout_ms /. 1000.))
+    (fun () ->
+      Array.exists
+        (fun m ->
+          match m.state with
+          | Running _ -> not m.target_met
+          | Down -> true
+          | Exited -> false)
+        members);
+  let reached = Array.for_all (fun m -> m.target_met) members in
+  stopping := true;
+  let any_running () = running () <> [] in
+  let grace s = pump ~until:(Unix.gettimeofday () +. s) any_running in
+  List.iter (fun (_, l) -> write_quiet l.ctl "S") (running ());
+  grace stop_grace_s;
+  (* Force-stop what did not exit: a thread's sockets are closed under it,
+     a child gets SIGTERM and then SIGKILL.  Needing it means Timed_out. *)
+  let forced = any_running () in
+  if forced then begin
+    List.iter
+      (fun (_, l) ->
+        match l.backend with
+        | Thread (_, s) -> close_sockets ~force:true s
+        | Child pid -> ( try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ()))
+      (running ());
+    grace 0.5;
+    List.iter
+      (fun (i, l) ->
+        match l.backend with
+        | Child pid -> ( try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+        | Thread _ ->
+            Log.err (fun f -> f "node %d: executor survived its teardown" i))
+      (running ());
+    grace 1.
+  end;
   {
-    nodes;
+    nodes =
+      Array.mapi
+        (fun i m ->
+          merge_incarnations ~n:cfg.n ~id:i ~restarts:(m.spawns - 1)
+            (List.rev m.results))
+        members;
     wall_ms = now_ms t0;
     reached_target = reached;
-    outcome = (if !forced then Timed_out else Completed);
+    outcome = (if forced then Timed_out else Completed);
     fault_events = sort_fault_log !fault_log;
   }
 
 (* --- entry point ----------------------------------------------------------- *)
 
-let default_wal_dir () =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "moonshot-wal-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir d 0o700 with Unix.Unix_error _ -> ());
-  d
+let remove_wal_files dir ~n =
+  for i = 0 to n - 1 do
+    let p = wal_path dir i in
+    List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ p; p ^ ".tmp" ]
+  done
 
 let run (type m) (module P : Protocol_intf.S with type msg = m) cfg =
   validate cfg;
@@ -1184,24 +996,27 @@ let run (type m) (module P : Protocol_intf.S with type msg = m) cfg =
       ~heal_bound_ms:(Bft_obs.Liveness.default_k *. cfg.delta_ms)
       cfg.faults
   in
+  (* A recovered node is rebuilt from its WAL file, so a schedule that
+     crashes anyone needs a WAL directory: unless the caller named one, a
+     per-process temp directory, removed again when the run ends. *)
+  let own_wal_dir = cfg.wal_dir = None && FS.crash_count cfg.faults > 0 in
   let cfg =
-    (* Process-mode crash-recovery lives or dies by the WAL file: without
-       one a killed child could only restart empty.  Default to a
-       per-process temp directory when the schedule crashes anyone. *)
-    if
-      cfg.wal_dir = None && cfg.mode = Processes
-      && FS.crash_count cfg.faults > 0
-    then { cfg with wal_dir = Some (default_wal_dir ()) }
+    if own_wal_dir then
+      {
+        cfg with
+        wal_dir =
+          Some
+            (Filename.concat
+               (Filename.get_temp_dir_name ())
+               (Printf.sprintf "moonshot-wal-%d" (Unix.getpid ())));
+      }
     else cfg
   in
-  (match cfg.wal_dir with
-  | None -> ()
-  | Some d ->
+  Option.iter
+    (fun d ->
       (try Unix.mkdir d 0o700 with Unix.Unix_error _ -> ());
-      for i = 0 to cfg.n - 1 do
-        let p = Filename.concat d (Printf.sprintf "node-%d.wal" i) in
-        try Sys.remove p with Sys_error _ -> ()
-      done);
+      remove_wal_files d ~n:cfg.n)
+    cfg.wal_dir;
   let listeners =
     Array.init cfg.n (fun i ->
         make_listener
@@ -1209,15 +1024,17 @@ let run (type m) (module P : Protocol_intf.S with type msg = m) cfg =
   in
   let ports = Array.map snd listeners in
   let t0 = Unix.gettimeofday () in
-  match cfg.mode with
-  | Threads ->
-      run_threads
+  Fun.protect
+    ~finally:(fun () ->
+      match cfg.wal_dir with
+      | Some d when own_wal_dir -> (
+          remove_wal_files d ~n:cfg.n;
+          try Unix.rmdir d with Unix.Unix_error _ -> ())
+      | _ -> ())
+    (fun () ->
+      coordinate
         (module P : Protocol_intf.S with type msg = m)
-        cfg ~listeners ~ports ~plane ~t0
-  | Processes ->
-      run_processes
-        (module P : Protocol_intf.S with type msg = m)
-        cfg ~listeners ~ports ~plane ~t0
+        cfg ~listeners ~ports ~plane ~t0)
 
 (* --- post-hoc aggregation -------------------------------------------------- *)
 

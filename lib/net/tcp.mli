@@ -7,13 +7,18 @@
     [send]/[multicast] encode messages with the protocol's wire codec and
     write frames to per-peer TCP connections, [set_timer] arms wall-clock
     timers, and [now] reads the wall clock (milliseconds since cluster
-    start).  Two execution modes share all of this code:
+    start).  One coordinator runs every validator the same way in both
+    execution modes: each incarnation of a validator gets a control pipe
+    (the coordinator's crash and stop orders) and a report pipe (target
+    reached, logical recovery orders, and finally its result over the
+    {{!write_result}result channel}).  The mode picks only how an
+    incarnation runs, how it dies when crashed, and how it is forced to stop
+    if it does not exit on its own:
 
-    - {!Threads}: each validator is one executor thread (plus a
-      {!Conn_manager} sender thread) inside the calling process;
-    - {!Processes}: each validator is a forked child process; results
-      travel back to the coordinator over pipes as
-      {!Bft_net.Wire}-encoded blobs.
+    - {!Threads}: a thread (plus a {!Conn_manager} sender thread) in the
+      calling process; forcing closes its sockets under it;
+    - {!Processes}: a forked child process; forcing is [SIGTERM], then
+      [SIGKILL].
 
     Topology: full mesh.  Node [i] listens on one TCP port; for sending,
     it opens one connection to each peer and writes frames only on it, so
@@ -31,12 +36,12 @@
     {!Fault_plane.t} and interposed below the codec layer (see
     [docs/WIRE.md]): partitions and loss drop frames at send time, delay
     windows and [link_delay_ms] hold them in the sender queue.  Crashes
-    are real: in {!Threads} mode the incarnation tears down its sockets
-    and its supervisor waits for the recovery order before rebuilding the
-    node (same port, WAL snapshot threaded through); in {!Processes} mode
-    the child kills itself with [SIGKILL] at an event boundary and the
-    coordinator re-forks it, the new incarnation rebuilding from the WAL
-    file it persisted after every event and catching up via sync.  With
+    are real: the incarnation stops at an event boundary, drains its sender
+    queue, persists its WAL file and closes its sockets.  A crashed thread
+    still reports its result, so the victim keeps its pre-crash commits; a
+    crashed child kills itself with [SIGKILL] and its result dies with it.
+    On recovery the coordinator starts a new incarnation on the same port,
+    rebuilt from the WAL file and catching up via sync.  With
     [fault_clock = Views] the schedule is interpreted logically
     ({!Bft_faults.Logical}) — identically to the simulator harness, which
     is what makes chaos chains comparable across substrates.
@@ -51,10 +56,9 @@ open Bft_types
 type mode = Threads | Processes
 
 (** How the run ended.  {!Timed_out} does not mean the deadline expired —
-    it means cooperative shutdown failed and force-teardown was needed:
-    the threads-mode watchdog had to close sockets out from under a
-    wedged executor, or a child process survived [SIGTERM] and had to be
-    [SIGKILL]ed. *)
+    it means some incarnation did not exit within a grace period of the
+    coordinator's stop order and had to be forced: its sockets closed
+    under it (threads) or [SIGTERM] then [SIGKILL] (processes). *)
 type outcome = Completed | Timed_out
 
 type config = {
@@ -82,8 +86,10 @@ type config = {
           to keep view duration well above restart-and-redial time. *)
   wal_dir : string option;
       (** Directory for per-node WAL snapshot files ([node-<i>.wal],
-          stale ones removed at cluster start).  Defaults to a temp
-          directory when a process-mode schedule crashes anyone. *)
+          stale ones removed at cluster start); a recovered node is rebuilt
+          from its file.  When [None] and the schedule crashes any node,
+          {!run} uses a temp directory of its own and deletes it at the
+          end; a directory the caller names is never deleted. *)
   clients : Bft_mempool.Spec.t option;
       (** Client-traffic mode: leaders cut blocks from a seeded mempool
           batch stream instead of the parametric [payload_bytes] payload.
@@ -122,11 +128,11 @@ type proposal = { p_height : int; p_hash : int64; p_time_ms : float }
 type node_result = {
   id : int;
   commits : commit list;
-      (** Commit order = chain order; a node that crashed and recovered
-          contributes every incarnation's commits, so a height committed
-          both before the crash and during catch-up appears twice (in
-          process mode the crashed incarnation's list dies with the
-          process and only the final incarnation's survives). *)
+      (** Commit order = chain order, over every incarnation that
+          reported: in threads mode a node that crashed and recovered
+          contributes its pre-crash commits too, so a height committed both
+          before the crash and during catch-up appears twice; in process
+          mode the crashed incarnation's list dies with the process. *)
   proposals : proposal list;
   trace_lines : string list;
       (** {!Bft_obs.Trace.event_to_json} lines in emission order;
@@ -138,7 +144,7 @@ type node_result = {
       (** Bytes written inside post-heal/recovery accounting windows —
           the traffic cost of healing. *)
   reconnects : int;  (** Outbound connections re-established. *)
-  restarts : int;  (** Incarnations beyond the first. *)
+  restarts : int;  (** Incarnations started beyond the first. *)
   malformed_by_peer : int array;  (** Per-peer malformed frame bodies. *)
   dropped_by_peer : int array;
       (** Per-peer frames dropped at send time (fault interposition,
@@ -167,6 +173,23 @@ type result = {
     schedule outside the fault budget, or a [Views]-clock schedule that
     is not a valid logical schedule. *)
 val run : (module Protocol_intf.S with type msg = 'm) -> config -> result
+
+(** {2 Result channel}
+
+    How an incarnation hands its {!node_result} to the coordinator, in both
+    modes: a sequence of {!Wire} frames — commits, proposals and trace
+    lines in runs that each stay within the codec's list and frame limits,
+    then a closing frame with the counters — so a result of any size
+    crosses a pipe and the decoders stay total. *)
+
+(** [write_result fd r] writes [r] to [fd].  Raises [Unix.Unix_error] when
+    the write fails. *)
+val write_result : Unix.file_descr -> node_result -> unit
+
+(** [read_result fd] reads one result written by {!write_result}; [Error]
+    names what could not be read (early EOF, a malformed frame, a socket
+    error). *)
+val read_result : Unix.file_descr -> (node_result, string) Stdlib.result
 
 (** [quorum_commits result ~quorum] — for every block committed by at
     least [quorum] distinct nodes, the [quorum]-th of those nodes to commit

@@ -61,7 +61,7 @@ module W : sig
   (** Fixed 8-byte big-endian two's-complement integer (hashes). *)
   val u64 : t -> int64 -> unit
 
-  (** IEEE-754 double, big-endian (timestamps in result blobs; never
+  (** IEEE-754 double, big-endian (timestamps in result frames; never
       used in protocol messages). *)
   val f64 : t -> float -> unit
 
@@ -160,7 +160,7 @@ val bad_tag : int -> 'a
 val decode_body : string -> (int -> R.t -> 'a) -> ('a, error) result
 
 (** [run_decoder f] runs a reader action outside the frame envelope
-    (result blobs, tests), converting exceptions to [Error] without
+    (codec helpers, tests), converting exceptions to [Error] without
     checking version/tag or full consumption. *)
 val run_decoder : (unit -> 'a) -> ('a, error) result
 

@@ -12,7 +12,8 @@
    view-anchored chaos schedule and with client traffic.
 
    Analysis layer: quorum commits, liveness, client latency and the
-   post-run check on hand-built results, without sockets. *)
+   post-run check on hand-built results, and the coordinator's result
+   channel, without sockets. *)
 
 open Bft_types
 module Wire = Bft_net.Wire
@@ -466,7 +467,7 @@ let hello_rejects () =
 
 (* One wall-clock crash/recover cycle while the cluster runs.  The dead
    incarnation's sockets must go down (peers see drops, then reconnect),
-   the supervisor must rebuild the node from its WAL snapshot, and the
+   the coordinator must restart the node from its WAL file, and the
    cluster must still reach the target with per-height agreement. *)
 let wall_chaos_result mode =
   let kind = Protocol_kind.Commit_moonshot in
@@ -510,13 +511,109 @@ let assert_recovered (r : Tcp.result) ~node =
     (report.Bft_obs.Liveness.max_quorum_gap_ms
     <= report.Bft_obs.Liveness.bound_ms)
 
+(* One run per mode, shared by the crash/recover case and the cases that
+   pin the mode's crash semantics. *)
+let threads_chaos = lazy (wall_chaos_result Tcp.Threads)
+let process_chaos = lazy (wall_chaos_result Tcp.Processes)
+
 let threads_crash_recover () =
-  assert_recovered (wall_chaos_result Tcp.Threads) ~node:2
+  assert_recovered (Lazy.force threads_chaos) ~node:2
 
 (* Process mode: the victim really dies ([SIGKILL]) and is re-forked; its
    new incarnation rebuilds from the WAL file and catches up via sync. *)
 let process_crash_recover () =
-  assert_recovered (wall_chaos_result Tcp.Processes) ~node:2
+  assert_recovered (Lazy.force process_chaos) ~node:2
+
+(* What the victim (node 2) keeps of its crashed incarnation: a thread
+   reports its result on the way down, so its pre-crash commits survive; a
+   child dies by SIGKILL and they die with it.  Either way the victim ran
+   exactly two incarnations and the cluster stopped cooperatively. *)
+let assert_crash_semantics (r : Tcp.result) ~keeps_pre_crash =
+  let crash_ms =
+    match
+      List.find_opt
+        (fun fe -> fe.Tcp.fe_node = 2 && fe.Tcp.fe_kind = Bft_obs.Trace.Crash)
+        r.Tcp.fault_events
+    with
+    | Some fe -> fe.Tcp.fe_time_ms
+    | None -> Alcotest.fail "no crash event for node 2"
+  in
+  let victim = r.Tcp.nodes.(2) in
+  Alcotest.(check bool)
+    "commits timed before the crash" keeps_pre_crash
+    (List.exists (fun c -> c.Tcp.c_time_ms < crash_ms) victim.Tcp.commits);
+  Alcotest.(check int) "restarts" 1 victim.Tcp.restarts;
+  Alcotest.(check bool) "completed" true (r.Tcp.outcome = Tcp.Completed)
+
+let threads_victim_keeps_commits () =
+  assert_crash_semantics (Lazy.force threads_chaos) ~keeps_pre_crash:true
+
+let process_victim_loses_commits () =
+  assert_crash_semantics (Lazy.force process_chaos) ~keeps_pre_crash:false
+
+(* A crash schedule with no [wal_dir] runs on a temp directory of the run's
+   own, which is gone once the run returns. *)
+let default_wal_dir_removed () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "moonshot-wal-%d" (Unix.getpid ()))
+  in
+  List.iter
+    (fun run ->
+      ignore (Lazy.force run : Tcp.result);
+      Alcotest.(check bool) (dir ^ " removed") false (Sys.file_exists dir))
+    [ threads_chaos; process_chaos ]
+
+(* --- result channel (no sockets) ------------------------------------------- *)
+
+(* A result beyond one frame's limits (65,536 list items) crosses a pipe
+   intact.  The writer runs in its own thread: the result is far larger
+   than the pipe's buffer. *)
+let result_channel_roundtrip () =
+  let k = 70_000 in
+  let r =
+    {
+      Tcp.id = 3;
+      commits =
+        List.init k (fun h ->
+            {
+              Tcp.c_height = h;
+              c_view = h + 1;
+              c_hash = Int64.of_int (h * 7919);
+              c_time_ms = float_of_int h /. 3.;
+              c_payload_id = -h;
+              c_payload_bytes = h mod 4096;
+            });
+      proposals =
+        List.init 100 (fun h ->
+            { Tcp.p_height = h; p_hash = Int64.of_int h; p_time_ms = 0.5 });
+      trace_lines =
+        List.init k (fun i -> Printf.sprintf "{\"t\":%d,\"node\":3}" i);
+      decode_errors = 1;
+      messages_sent = 2;
+      bytes_sent = 3;
+      bytes_heal = 4;
+      reconnects = 5;
+      restarts = 6;
+      malformed_by_peer = [| 0; 1; 2; 3 |];
+      dropped_by_peer = [| 4; 5; 6; 7 |];
+    }
+  in
+  let rd, wr = Unix.pipe () in
+  let writer =
+    Thread.create
+      (fun () ->
+        Tcp.write_result wr r;
+        Unix.close wr)
+      ()
+  in
+  let got = Tcp.read_result rd in
+  Thread.join writer;
+  Unix.close rd;
+  match got with
+  | Ok r' -> Alcotest.(check bool) "identical result" true (r = r')
+  | Error e -> Alcotest.failf "result lost: %s" e
 
 (* --- substrate cross-validation -------------------------------------------- *)
 
@@ -794,6 +891,17 @@ let () =
             threads_crash_recover;
           Alcotest.test_case "process crash/recover" `Quick
             process_crash_recover;
+          Alcotest.test_case "threads victim keeps pre-crash commits" `Quick
+            threads_victim_keeps_commits;
+          Alcotest.test_case "process victim loses pre-crash commits" `Quick
+            process_victim_loses_commits;
+          Alcotest.test_case "default WAL dir removed" `Quick
+            default_wal_dir_removed;
+        ] );
+      ( "channel",
+        [
+          Alcotest.test_case "70k commits and trace lines" `Quick
+            result_channel_roundtrip;
         ] );
       ( "crossval",
         List.map crossval_case Protocol_kind.all
