@@ -97,6 +97,42 @@ let recoveries t =
     (List.init t.n (fun i -> i))
   |> List.sort compare
 
+type triggers = {
+  lg : t;
+  crashed : bool array;
+  recov : (int * int) array;  (* [recoveries] *)
+  mutable released : int;  (* recoveries released so far *)
+}
+
+let triggers t =
+  {
+    lg = t;
+    crashed = Array.make t.n false;
+    recov = Array.of_list (recoveries t);
+    released = 0;
+  }
+
+let crash_due tr ~node ~incarnation ~view =
+  incarnation = 0
+  && (not tr.crashed.(node))
+  &&
+  match tr.lg.crash_of.(node) with
+  | Some v when view >= v ->
+      tr.crashed.(node) <- true;
+      true
+  | _ -> false
+
+let recoveries_due tr ~node ~view =
+  let rec go acc =
+    let i = tr.released in
+    if i < Array.length tr.recov && fst tr.recov.(i) <= view then begin
+      tr.released <- i + 1;
+      go ((i, snd tr.recov.(i)) :: acc)
+    end
+    else List.rev acc
+  in
+  if node = observer tr.lg then go [] else []
+
 let cut t ~src ~src_view ~dst =
   src <> dst
   && List.exists

@@ -57,6 +57,31 @@ val recover_anchor : t -> int -> int option
 (** All (recover_view, node) pairs, sorted by view. *)
 val recoveries : t -> (int * int) list
 
+(** {2 Triggers}
+
+    The two view-anchored rules each substrate applies between a node's
+    events, together with the state that makes each fire once.  The
+    simulator keeps one {!triggers} per run; a socket incarnation keeps its
+    own (the observer is never crashed, so its incarnation is the run's). *)
+
+type triggers
+
+(** Nothing fired yet. *)
+val triggers : t -> triggers
+
+(** [crash_due tr ~node ~incarnation ~view] — does [node] crash now?  True
+    exactly once per [tr]: the first time [node]'s first incarnation
+    ([incarnation = 0]) is at or past its crash anchor.  A later
+    incarnation never crashes. *)
+val crash_due : triggers -> node:int -> incarnation:int -> view:int -> bool
+
+(** [recoveries_due tr ~node ~view] — the recoveries the observer releases
+    now, as [(index, node)] pairs in index order (the index is the
+    recovery's position in {!recoveries}): when [node] is the {!observer},
+    every recovery not released yet whose anchor is at most [view]; [[]]
+    for any other node.  Each recovery is released once. *)
+val recoveries_due : triggers -> node:int -> view:int -> (int * int) list
+
 (** [cut t ~src ~src_view ~dst] — drop a frame from [src] to [dst] sent
     while [src]'s current view is [src_view]?  Self-delivery is never
     cut.  Nodes in no listed group share one implicit group, as in

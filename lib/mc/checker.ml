@@ -79,6 +79,8 @@ let search_config ?(rounds = 24) ?(population = 8) ?(mutants = 12)
   }
 
 module Make (P : Protocol_intf.S) = struct
+  module H = Bft_host.Node_host.Make (P)
+
   (* The protocol nodes are mutable and unclonable, so exploration is
      stateless: every frontier path is replayed from a fresh world.  A world
      owns the engine (capture hook installed), the nodes, their WALs, and
@@ -103,8 +105,7 @@ module Make (P : Protocol_intf.S) = struct
   type world = {
     cfg : config;
     engine : P.msg Engine.t;
-    nodes : P.node option array;  (** [None] while crashed *)
-    wals : P.wal array;
+    host : H.t;  (** the nodes ([None] while crashed) and their WALs *)
     channels : msg_entry Queue.t array;
         (** [dst * n + src]: FIFO per ordered node pair.  Only each
             channel's head is deliverable — delivery orders are explored
@@ -189,58 +190,27 @@ module Make (P : Protocol_intf.S) = struct
               q
           end
 
-  let env_of w id : P.msg Env.t =
-    let n = w.cfg.n in
-    {
-      Env.id;
-      validators = Validator_set.make n;
-      delta = w.cfg.delta;
-      now = (fun () -> Engine.now w.engine);
-      send = (fun dst msg -> Engine.send w.engine ~src:id ~dst msg);
-      multicast = (fun msg -> Engine.multicast w.engine ~src:id msg);
-      set_timer = (fun delay f -> Engine.set_timer ~owner:id w.engine delay f);
-      leader_of = (fun view -> ((view - 1) mod n + n) mod n);
-      make_payload =
-        (fun ~view ~parent:_ -> Payload.make ~id:view ~size_bytes:w.cfg.payload_bytes);
-      on_commit =
-        (fun b ->
-          w.commits_total <- w.commits_total + 1;
-          (match w.trace with
-          | None -> ()
-          | Some sink ->
-              Trace.emit sink
-                {
-                  Trace.time = Engine.now w.engine;
-                  node = id;
-                  kind = Trace.Committed { view = b.Block.view; height = b.Block.height };
-                });
-          let h = Hash.to_int64 b.Block.hash in
-          match Hashtbl.find_opt w.commits b.Block.height with
-          | None -> Hashtbl.replace w.commits b.Block.height h
-          | Some h' when Int64.equal h h' -> ()
-          | Some _ ->
-              add_violation w Mc_report.Conflicting_commits
-                (Format.asprintf "node %d committed %a at height %d, conflicting with an earlier commit"
-                   id Block.pp b b.Block.height));
-      on_propose = (fun _ -> ());
-      probe =
-        (match w.trace with
-        | None -> None
-        | Some sink ->
-            Some
-              (fun pe ->
-                Trace.emit sink
-                  { Trace.time = Engine.now w.engine; node = id; kind = Trace.Node_event pe }));
-    }
+  let on_commit w id b =
+    w.commits_total <- w.commits_total + 1;
+    let h = Hash.to_int64 b.Block.hash in
+    match Hashtbl.find_opt w.commits b.Block.height with
+    | None -> Hashtbl.replace w.commits b.Block.height h
+    | Some h' when Int64.equal h h' -> ()
+    | Some _ ->
+        add_violation w Mc_report.Conflicting_commits
+          (Format.asprintf "node %d committed %a at height %d, conflicting with an earlier commit"
+             id Block.pp b b.Block.height)
 
   let spawn_node w id =
-    let node =
-      P.create
-        ~equivocate:(List.mem id w.cfg.equivocators)
-        ~wal:w.wals.(id) (env_of w id)
+    let link =
+      {
+        Bft_host.Node_host.send = (fun dst msg -> Engine.send w.engine ~src:id ~dst msg);
+        multicast = (fun msg -> Engine.multicast w.engine ~src:id msg);
+        set_timer = (fun delay f -> Engine.set_timer ~owner:id w.engine delay f);
+      }
     in
+    let node = H.spawn w.host ~link ~equivocate:(List.mem id w.cfg.equivocators) id in
     Engine.set_handler w.engine id (P.handle node);
-    w.nodes.(id) <- Some node;
     node
 
   let rec drain w =
@@ -257,12 +227,23 @@ module Make (P : Protocol_intf.S) = struct
         ~delta:cfg.delta ()
     in
     let engine = Engine.create ~n:cfg.n ~network ~seed:0 ~msg_size:P.msg_size () in
+    (* The commit hook needs the world, which needs the host. *)
+    let commit_hook = ref (fun _ _ -> ()) in
+    let host =
+      H.create ~n:cfg.n ~delta:cfg.delta
+        ~leader_of:(Validator_set.round_robin (Validator_set.make cfg.n))
+        ~payload:(Bft_host.Node_host.Fixed cfg.payload_bytes)
+        ?trace ~wal:true
+        ~now:(fun () -> Engine.now engine)
+        ~on_commit:(fun id b -> !commit_hook id b)
+        ~on_propose:(fun _ _ -> ())
+        ()
+    in
     let w =
       {
         cfg;
         engine;
-        nodes = Array.make cfg.n None;
-        wals = Array.init cfg.n (fun _ -> P.wal_create ());
+        host;
         channels = Array.init (cfg.n * cfg.n) (fun _ -> Queue.create ());
         timers = [];
         timer_seq = Array.make cfg.n 0;
@@ -280,19 +261,9 @@ module Make (P : Protocol_intf.S) = struct
         trace;
       }
     in
+    commit_hook := on_commit w;
     Engine.set_capture engine (fun ev -> capture w ev);
-    (match trace with
-    | None -> ()
-    | Some sink ->
-        Engine.set_delivery_tap engine (fun ~time ~src ~dst:node msg ->
-            Trace.emit sink
-              {
-                Trace.time;
-                node;
-                kind =
-                  Trace.Delivered
-                    { src; cls = P.classify msg; view = P.view_of msg; bytes = P.msg_size msg };
-              }));
+    Option.iter (Engine.set_delivery_tap engine) (H.delivery_tap host);
     let nodes = List.init cfg.n (fun id -> spawn_node w id) in
     List.iter P.start nodes;
     drain w;
@@ -443,7 +414,7 @@ module Make (P : Protocol_intf.S) = struct
     match (step : Mc_schedule.step) with
     | Crash i ->
         Engine.crash w.engine i;
-        w.nodes.(i) <- None
+        H.stop w.host i
     | Recover i ->
         Engine.recover w.engine i;
         let node = spawn_node w i in
@@ -457,22 +428,20 @@ module Make (P : Protocol_intf.S) = struct
 
   (* Invariants checked at every reached state, for live nodes only. *)
   let post_checks w =
-    Array.iteri
-      (fun i node ->
-        match node with
-        | None -> ()
-        | Some node when not (Engine.is_down w.engine i) ->
-            let lv = P.lock_view node in
-            if lv < w.lock_floor.(i) then
-              add_violation w Mc_report.Lock_regression
-                (Printf.sprintf "node %d lock went from view %d back to %d" i
-                   w.lock_floor.(i) lv)
-            else w.lock_floor.(i) <- lv;
-            if not (P.wal_consistent node) then
-              add_violation w Mc_report.Wal_divergence
-                (Printf.sprintf "node %d in-memory safety state disagrees with its WAL" i)
-        | Some _ -> ())
-      w.nodes
+    for i = 0 to w.cfg.n - 1 do
+      match H.node w.host i with
+      | Some node when not (Engine.is_down w.engine i) ->
+          let lv = P.lock_view node in
+          if lv < w.lock_floor.(i) then
+            add_violation w Mc_report.Lock_regression
+              (Printf.sprintf "node %d lock went from view %d back to %d" i
+                 w.lock_floor.(i) lv)
+          else w.lock_floor.(i) <- lv;
+          if not (P.wal_consistent node) then
+            add_violation w Mc_report.Wal_divergence
+              (Printf.sprintf "node %d in-memory safety state disagrees with its WAL" i)
+      | Some _ | None -> ()
+    done
 
   let exec_action w a =
     w.steps <- w.steps + 1;
@@ -508,12 +477,12 @@ module Make (P : Protocol_intf.S) = struct
     let nodes =
       Array.init n (fun i ->
           let s =
-            match w.nodes.(i) with
+            match H.node w.host i with
             | Some node when not (Engine.is_down w.engine i) ->
                 Hash.to_int64 (P.state_hash node)
             | _ -> 0xdeadL
           in
-          (s, Hash.to_int64 (P.wal_hash w.wals.(i))))
+          (s, Hash.to_int64 (P.wal_hash (H.wal w.host i))))
     in
     (* In-flight messages: per-channel content sequences, channels in fixed
        (dst, src) order. *)
@@ -583,10 +552,11 @@ module Make (P : Protocol_intf.S) = struct
     | Some grp -> Symmetry.canonical grp v
 
   let max_view w =
-    Array.fold_left
-      (fun acc node ->
-        match node with Some n -> max acc (P.current_view n) | None -> acc)
-      0 w.nodes
+    let m = ref 0 in
+    for i = 0 to w.cfg.n - 1 do
+      m := max !m (H.view w.host i)
+    done;
+    !m
 
   (* {2 Livelock certification}
 
@@ -610,11 +580,10 @@ module Make (P : Protocol_intf.S) = struct
   let post_schedule_clean w =
     w.fault_idx >= List.length w.cfg.faults
     && w.partition = None
-    && Array.for_all Option.is_some w.nodes
     &&
     let live = ref true in
     for i = 0 to w.cfg.n - 1 do
-      if Engine.is_down w.engine i then live := false
+      if Engine.is_down w.engine i || Option.is_none (H.node w.host i) then live := false
     done;
     !live
 

@@ -1,8 +1,12 @@
 (** Bounded model checker: exhaustive exploration of message-delivery and
     timer-firing orderings for small worlds, over the exact engine and node
-    wiring the experiments use — plus two sampling modes that scale past
-    what exhaustion can reach (swarm walks and coverage-guided schedule
-    search).
+    wiring the experiments use — nodes, their WALs and their trace taps come
+    from {!Bft_host.Node_host}, as in the simulator harness and the socket
+    cluster, with round-robin leaders
+    ({!Bft_types.Validator_set.round_robin}) — plus two sampling modes that
+    scale past what exhaustion can reach (swarm walks and coverage-guided
+    schedule search).  The checker keeps only the engine capture, the
+    invariants and fault application.
 
     The checker installs the engine's capture hook ({!Bft_sim.Engine.set_capture}),
     so every network delivery, timer expiry and scheduled thunk becomes an

@@ -81,7 +81,6 @@ let compile ~n ~clock ~seed ~link_delay_ms ~heal_bound_ms sched =
       active = true;
     }
 
-let active t = t.active
 let clock t = t.clock
 
 let verdict t ~src ~dst ~now_ms ~src_view =
@@ -110,19 +109,5 @@ let delay_ms t ~now_ms =
 let in_heal_window t ~now_ms =
   List.exists (fun (a, b) -> now_ms >= a && now_ms <= b) t.heal_windows
 
-let crash_anchor t ~node =
-  Option.bind t.logical (fun lg -> Bft_faults.Logical.crash_anchor lg node)
-
-let recoveries t =
-  match t.logical with
-  | None -> []
-  | Some lg -> Bft_faults.Logical.recoveries lg
-
-let recoveries_upto t ~view =
-  List.mapi (fun i x -> (i, x)) (recoveries t)
-  |> List.filter_map (fun (i, (v, node)) ->
-         if v <= view then Some (i, node) else None)
-
-let recovery_of_index t i = List.nth_opt (recoveries t) i
-
+let logical t = t.logical
 let wall_timeline t = t.timeline

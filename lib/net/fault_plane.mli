@@ -45,9 +45,6 @@ val compile :
   Bft_faults.Fault_schedule.t ->
   t
 
-(** Whether any fault interposition or pacing is configured. *)
-val active : t -> bool
-
 val clock : t -> clock
 
 (** Send-time verdict for a frame [src -> dst].  [src_view] is the
@@ -64,20 +61,10 @@ val delay_ms : t -> now_ms:float -> float
     ([heal, heal + heal_bound_ms] after each wall-clock heal point). *)
 val in_heal_window : t -> now_ms:float -> bool
 
-(** {2 Crash/recovery anchors (logical clock)} *)
-
-(** View at which [node]'s first incarnation crashes, if scheduled. *)
-val crash_anchor : t -> node:int -> int option
-
-(** Recoveries whose observer-view anchor is [<= view], as
-    (index, node) pairs — [index] is the recovery's position in
-    {!Bft_faults.Logical.recoveries} order, stable across substrates and
-    process boundaries. *)
-val recoveries_upto : t -> view:int -> (int * int) list
-
-(** Recovery by index, for coordinator-side dispatch of observer
-    milestones. *)
-val recovery_of_index : t -> int -> (int * int) option
+(** The view-anchored reading of the schedule under the {!Views} clock
+    (crash anchors, recovery order, partition windows); [None] under
+    {!Wall_ms}. *)
+val logical : t -> Bft_faults.Logical.t option
 
 (** {2 Wall-clock timeline (coordinator side)} *)
 

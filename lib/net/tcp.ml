@@ -18,7 +18,6 @@ type config = {
   timeout_ms : float;
   mode : mode;
   base_port : int option;
-  leader_of : int -> int;
   trace : bool;
   protocol_name : string;
   faults : FS.t;
@@ -38,7 +37,6 @@ let default ~n ~target_blocks =
     timeout_ms = 60_000.;
     mode = Threads;
     base_port = None;
-    leader_of = (fun view -> view mod n);
     trace = false;
     protocol_name = "";
     faults = FS.empty;
@@ -303,17 +301,60 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
     (cfg : config) ~id ~incarnation ~t0 ~(sockets : sockets)
     ~(plane : Fault_plane.t) ~(ctl : Unix.file_descr)
     ~(report : Unix.file_descr) : node_result * exit_reason =
+  let module H = Bft_host.Node_host.Make (P) in
   let commits = ref [] and done_sent = ref false in
   let proposals = ref [] in
-  let trace_lines = ref [] in
+  let trace =
+    if cfg.trace then Bft_obs.Trace.create () else Bft_obs.Trace.disabled ()
+  in
   let malformed = Array.make cfg.n 0 in
   let crashing = ref false and stopping = ref false in
-  let emit kind =
-    if cfg.trace then
-      trace_lines :=
-        Bft_obs.Trace.event_to_json
-          { Bft_obs.Trace.time = now_ms t0; node = id; kind }
-        :: !trace_lines
+  (* Client-traffic ingestion: each validator rebuilds the identical seeded
+     arrival stream locally, so a leader's watermark observation is the only
+     nondeterminism a batch carries — and under the [Views] spec clock even
+     that is a pure function of the view, making socket chains bit-identical
+     to simulator chains.  Latency accounting happens post-hoc in the
+     coordinator (Net_harness.client_stats), against [quorum_commits]. *)
+  let payload =
+    match cfg.clients with
+    | Some spec ->
+        Bft_host.Node_host.Clients
+          (Bft_mempool.Ingest.create ~spec ~n:cfg.n ~view_ms:cfg.delta_ms ())
+    | None -> Bft_host.Node_host.Fixed cfg.payload_bytes
+  in
+  let host =
+    H.create ~n:cfg.n ~delta:cfg.delta_ms
+      ~leader_of:(Validator_set.round_robin (Validator_set.make cfg.n))
+      ~payload ~trace ~wal:true
+      ~now:(fun () -> now_ms t0)
+      ~on_commit:(fun _ b ->
+        commits :=
+          {
+            c_height = b.Block.height;
+            c_view = b.Block.view;
+            c_hash = Hash.to_int64 b.Block.hash;
+            c_time_ms = now_ms t0;
+            c_payload_id = b.Block.payload.Payload.id;
+            c_payload_bytes = b.Block.payload.Payload.size_bytes;
+          }
+          :: !commits;
+        (* Height-based, not count-based: a recovered incarnation starts
+           from an empty commit log and reaches the target by syncing,
+           whether or not every historic height is replayed through
+           [on_commit]. *)
+        if b.Block.height >= cfg.target_blocks && not !done_sent then begin
+          done_sent := true;
+          write_quiet report "D"
+        end)
+      ~on_propose:(fun _ b ->
+        proposals :=
+          {
+            p_height = b.Block.height;
+            p_hash = Hash.to_int64 b.Block.hash;
+            p_time_ms = now_ms t0;
+          }
+          :: !proposals)
+      ()
   in
   let wal_file = Option.map (fun d -> wal_path d id) cfg.wal_dir in
   let wal_blob =
@@ -322,18 +363,7 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
         try Some (read_file path) with Sys_error _ -> None)
     | _ -> None
   in
-  let wal =
-    match wal_blob with
-    | None -> P.wal_create ()
-    | Some s -> (
-        match P.wal_decode s with
-        | Ok w -> w
-        | Error reason ->
-            Log.err (fun m ->
-                m "node %d: corrupt WAL snapshot (%s); restarting empty" id
-                  reason);
-            P.wal_create ())
-  in
+  Option.iter (H.restore_wal host id) wal_blob;
   let listener = sockets.listener and cm = sockets.cm in
   (* Wall-clock timers; touched only by the executor thread. *)
   let timers : (float * bool ref * (unit -> unit)) list ref = ref [] in
@@ -348,10 +378,7 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
       infinity !timers
   in
   let selfq : m Queue.t = Queue.create () in
-  let node_ref = ref None in
-  let view () =
-    match !node_ref with Some nd -> P.current_view nd | None -> 0
-  in
+  let view () = H.view host id in
   (* Everything the fault plane anchors on protocol state happens here,
      between events: WAL snapshot persistence, the node's own logical
      crash trigger, and (on the observer) logical recovery orders. *)
@@ -360,7 +387,7 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
     match wal_file with
     | None -> ()
     | Some path ->
-        let s = P.wal_encode wal in
+        let s = P.wal_encode (H.wal host id) in
         if not (String.equal s !last_wal) then begin
           last_wal := s;
           try
@@ -373,44 +400,26 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
             Log.err (fun m -> m "node %d: cannot persist WAL" id)
         end
   in
-  let crash_anchor =
-    if incarnation = 0 then Fault_plane.crash_anchor plane ~node:id else None
+  let triggers =
+    Option.map Bft_faults.Logical.triggers (Fault_plane.logical plane)
   in
-  let next_order = ref 0 in
   let post_event () =
     persist_wal ();
-    (match crash_anchor with
-    | Some v when (not !crashing) && view () >= v -> crashing := true
-    | _ -> ());
-    if id = 0 && Fault_plane.active plane then
-      List.iter
-        (fun (idx, _node) ->
-          if idx >= !next_order then begin
-            next_order := idx + 1;
-            write_quiet report (Printf.sprintf "O%c" (Char.chr (idx land 0xff)))
-          end)
-        (Fault_plane.recoveries_upto plane ~view:(view ()))
+    match triggers with
+    | None -> ()
+    | Some tr ->
+        let view = view () in
+        if Bft_faults.Logical.crash_due tr ~node:id ~incarnation ~view then
+          crashing := true;
+        List.iter
+          (fun (idx, _node) ->
+            write_quiet report
+              (Printf.sprintf "O%c" (Char.chr (idx land 0xff))))
+          (Bft_faults.Logical.recoveries_due tr ~node:id ~view)
   in
-  let validators = Validator_set.make cfg.n in
-  (* Client-traffic ingestion: each validator rebuilds the identical seeded
-     arrival stream locally, so a leader's watermark observation is the only
-     nondeterminism a batch carries — and under the [Views] spec clock even
-     that is a pure function of the view, making socket chains bit-identical
-     to simulator chains.  Latency accounting happens post-hoc in the
-     coordinator (Net_harness.client_stats), against [quorum_commits]. *)
-  let ingest =
-    Option.map
-      (fun spec ->
-        Bft_mempool.Ingest.create ~spec ~n:cfg.n ~view_ms:cfg.delta_ms ())
-      cfg.clients
-  in
-  let env =
+  let link =
     {
-      Env.id;
-      validators;
-      delta = cfg.delta_ms;
-      now = (fun () -> now_ms t0);
-      send =
+      Bft_host.Node_host.send =
         (fun dst msg ->
           if dst = id then Queue.push msg selfq
           else
@@ -425,63 +434,16 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
             else Conn_manager.send cm ~dst ~src_view frame
           done);
       set_timer;
-      leader_of = cfg.leader_of;
-      make_payload =
-        (fun ~view ~parent ->
-          match ingest with
-          | Some ing ->
-              Bft_mempool.Ingest.cut ing ~view ~parent ~now:(now_ms t0)
-          | None -> Payload.make ~id:view ~size_bytes:cfg.payload_bytes);
-      on_commit =
-        (fun b ->
-          commits :=
-            {
-              c_height = b.Block.height;
-              c_view = b.Block.view;
-              c_hash = Hash.to_int64 b.Block.hash;
-              c_time_ms = now_ms t0;
-              c_payload_id = b.Block.payload.Payload.id;
-              c_payload_bytes = b.Block.payload.Payload.size_bytes;
-            }
-            :: !commits;
-          emit
-            (Bft_obs.Trace.Committed
-               { view = b.Block.view; height = b.Block.height });
-          (* Height-based, not count-based: a recovered incarnation
-             starts from an empty commit log and reaches the target by
-             syncing, whether or not every historic height is replayed
-             through [on_commit]. *)
-          if b.Block.height >= cfg.target_blocks && not !done_sent then begin
-            done_sent := true;
-            write_quiet report "D"
-          end);
-      on_propose =
-        (fun b ->
-          proposals :=
-            {
-              p_height = b.Block.height;
-              p_hash = Hash.to_int64 b.Block.hash;
-              p_time_ms = now_ms t0;
-            }
-            :: !proposals);
-      probe =
-        (if cfg.trace then Some (fun ev -> emit (Bft_obs.Trace.Node_event ev))
-         else None);
     }
   in
   let close_conn fd =
     sockets.inbound <- List.filter (fun (fd', _) -> fd' <> fd) sockets.inbound;
     close_quiet fd
   in
-  if incarnation > 0 then emit (Bft_obs.Trace.Fault Bft_obs.Trace.Recover);
   (try
-     let node = P.create ~wal env in
-     node_ref := Some node;
+     let node = H.spawn host ~link id in
      let deliver ~src ~bytes msg =
-       if cfg.trace then
-         emit
-           (Bft_obs.Trace.Delivered
-              { src; cls = P.classify msg; view = P.view_of msg; bytes });
+       H.delivered host ~src ~dst:id ~bytes msg;
        P.handle node ~src msg;
        post_event ()
      in
@@ -596,7 +558,6 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
      Log.err (fun m ->
          m "node %d: executor died: %s" id (Printexc.to_string exn)));
   if !crashing then begin
-    emit (Bft_obs.Trace.Fault Bft_obs.Trace.Crash);
     (* The simulator treats every send a handler issued before the crash
        point as already on the wire; drain the sender queue (including
        paced frames) before dying so the socket run agrees. *)
@@ -607,19 +568,25 @@ let node_main (type m) (module P : Protocol_intf.S with type msg = m)
   end;
   close_sockets sockets;
   let st = Conn_manager.stats cm in
-  if cfg.trace then
-    Array.iteri
-      (fun peer m ->
-        let d = st.Conn_manager.dropped.(peer) in
-        if peer <> id && (m > 0 || d > 0) then
-          emit (Bft_obs.Trace.Link_report { peer; malformed = m; dropped = d }))
-      malformed;
+  Array.iteri
+    (fun peer m ->
+      let d = st.Conn_manager.dropped.(peer) in
+      if peer <> id && (m > 0 || d > 0) then
+        Bft_obs.Trace.emit trace
+          {
+            Bft_obs.Trace.time = now_ms t0;
+            node = id;
+            kind =
+              Bft_obs.Trace.Link_report { peer; malformed = m; dropped = d };
+          })
+    malformed;
   let r =
     {
       id;
       commits = List.rev !commits;
       proposals = List.rev !proposals;
-      trace_lines = List.rev !trace_lines;
+      trace_lines =
+        List.map Bft_obs.Trace.event_to_json (Bft_obs.Trace.events trace);
       decode_errors = Array.fold_left ( + ) 0 malformed;
       messages_sent = st.Conn_manager.messages_sent;
       bytes_sent = st.Conn_manager.bytes_sent;
@@ -818,6 +785,13 @@ let coordinate (type m) (module P : Protocol_intf.S with type msg = m) cfg
     | Exited -> ()
   in
   let stopping = ref false in
+  let logical = Fault_plane.logical plane in
+  let crash_anchored i =
+    Option.bind logical (fun lg -> Bft_faults.Logical.crash_anchor lg i) <> None
+  in
+  let recoveries =
+    Option.fold ~none:[] ~some:Bft_faults.Logical.recoveries logical
+  in
   (* EOF: the incarnation is over.  Before the stop phase it crashed if a
      crash was ordered or anchored for it; otherwise it is gone for good. *)
   let finish i l =
@@ -830,7 +804,7 @@ let coordinate (type m) (module P : Protocol_intf.S with type msg = m) cfg
     if
       (not !stopping)
       && (m.kill_sent
-         || (m.spawns = 1 && Fault_plane.crash_anchor plane ~node:i <> None))
+         || (m.spawns = 1 && crash_anchored i))
     then begin
       m.state <- Down;
       log_fault i Bft_obs.Trace.Crash;
@@ -857,9 +831,9 @@ let coordinate (type m) (module P : Protocol_intf.S with type msg = m) cfg
         | None -> finish i l
         | Some idx ->
             if not !stopping then
-              Option.iter
-                (fun (_, node) -> order_recovery node)
-                (Fault_plane.recovery_of_index plane (Char.code idx)))
+              match List.nth_opt recoveries (Char.code idx) with
+              | Some (_, node) -> order_recovery node
+              | None -> ())
     | Some 'R' -> (
         match read_result l.rep with
         | Ok r -> members.(i).results <- r :: members.(i).results
@@ -1080,32 +1054,20 @@ let merged_trace result ~quorum =
           acc nr.trace_lines)
       [] result.nodes
   in
+  let line time node kind =
+    (time, node, Bft_obs.Trace.event_to_json { Bft_obs.Trace.time; node; kind })
+  in
   let qlines =
     List.map
       (fun (qnode, qc) ->
-        ( qc.c_time_ms,
-          qnode,
-          Bft_obs.Trace.event_to_json
-            {
-              Bft_obs.Trace.time = qc.c_time_ms;
-              node = qnode;
-              kind =
-                Bft_obs.Trace.Quorum_commit
-                  { view = qc.c_view; height = qc.c_height };
-            } ))
+        line qc.c_time_ms qnode
+          (Bft_obs.Trace.Quorum_commit
+             { view = qc.c_view; height = qc.c_height }))
       (quorum_commits result ~quorum)
   in
   let flines =
     List.map
-      (fun fe ->
-        ( fe.fe_time_ms,
-          fe.fe_node,
-          Bft_obs.Trace.event_to_json
-            {
-              Bft_obs.Trace.time = fe.fe_time_ms;
-              node = fe.fe_node;
-              kind = Bft_obs.Trace.Fault fe.fe_kind;
-            } ))
+      (fun fe -> line fe.fe_time_ms fe.fe_node (Bft_obs.Trace.Fault fe.fe_kind))
       result.fault_events
   in
   List.rev tagged @ qlines @ flines

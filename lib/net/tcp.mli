@@ -3,15 +3,17 @@
 
     {!run} launches an [n]-validator cluster in which every node is the
     unmodified event-driven state machine behind
-    {!Bft_types.Protocol_intf.S} — only its {!Bft_types.Env.t} differs:
-    [send]/[multicast] encode messages with the protocol's wire codec and
-    write frames to per-peer TCP connections, [set_timer] arms wall-clock
-    timers, and [now] reads the wall clock (milliseconds since cluster
-    start).  One coordinator runs every validator the same way in both
-    execution modes: each incarnation of a validator gets a control pipe
-    (the coordinator's crash and stop orders) and a report pipe (target
-    reached, logical recovery orders, and finally its result over the
-    {{!write_result}result channel}).  The mode picks only how an
+    {!Bft_types.Protocol_intf.S}, hosted by {!Bft_host.Node_host} as in the
+    simulator — only its transport differs: [send]/[multicast] encode
+    messages with the protocol's wire codec and write frames to per-peer
+    TCP connections, [set_timer] arms wall-clock timers, and [now] reads
+    the wall clock (milliseconds since cluster start).  Leaders rotate
+    round-robin ({!Bft_types.Validator_set.round_robin}).  One coordinator
+    runs every validator the same way in both execution modes: each
+    incarnation of a validator gets a control pipe (the coordinator's crash
+    and stop orders) and a report pipe (target reached, logical recovery
+    orders, and finally its result over the {{!write_result}result
+    channel}).  The mode picks only how an
     incarnation runs, how it dies when crashed, and how it is forced to stop
     if it does not exit on its own:
 
@@ -42,9 +44,11 @@
     crashed child kills itself with [SIGKILL] and its result dies with it.
     On recovery the coordinator starts a new incarnation on the same port,
     rebuilt from the WAL file and catching up via sync.  With
-    [fault_clock = Views] the schedule is interpreted logically
-    ({!Bft_faults.Logical}) — identically to the simulator harness, which
-    is what makes chaos chains comparable across substrates.
+    [fault_clock = Views] the schedule is interpreted logically: each
+    incarnation applies the same {!Bft_faults.Logical} triggers as the
+    simulator harness, which is what makes chaos chains comparable across
+    substrates.  The coordinator is the one source of crash and recovery
+    events ([result.fault_events]); nodes record none of their own.
 
     The cluster runs until every node has committed [target_blocks]
     blocks (each node keeps running after reaching its own target so its
@@ -71,7 +75,6 @@ type config = {
   base_port : int option;
       (** Node [i] listens on [base + i]; [None] = kernel-assigned
           ephemeral ports (safe for parallel test runs). *)
-  leader_of : int -> int;  (** Leader schedule, as in the simulator. *)
   trace : bool;  (** Record {!Bft_obs.Trace}-format JSONL events. *)
   protocol_name : string;
       (** Advertised in the [hello] frame; a receiver drops connections
@@ -104,8 +107,9 @@ type config = {
 }
 
 (** [default ~n ~target_blocks] — threads mode, ephemeral ports, empty
-    payload, [delta] 1 s, round-robin leaders, 60 s timeout, no trace,
-    no faults. *)
+    payload, [delta] 1 s, 60 s timeout, no trace, no faults.  Leaders
+    always rotate round-robin ({!Bft_types.Validator_set.round_robin}), as
+    in the simulator's default schedule and the model checker. *)
 val default : n:int -> target_blocks:int -> config
 
 (** One block commit as observed by one node, in local commit order. *)
@@ -135,8 +139,9 @@ type node_result = {
           mode the crashed incarnation's list dies with the process. *)
   proposals : proposal list;
   trace_lines : string list;
-      (** {!Bft_obs.Trace.event_to_json} lines in emission order;
-          [[]] when untraced. *)
+      (** {!Bft_obs.Trace.event_to_json} lines in emission order (each
+          incarnation records into a {!Bft_obs.Trace.t} and serialises it
+          once, at exit); [[]] when untraced. *)
   decode_errors : int;  (** Malformed frame bodies skipped (total). *)
   messages_sent : int;  (** Frames written to peers (self excluded). *)
   bytes_sent : int;  (** Wire bytes written, length prefixes included. *)
@@ -203,7 +208,8 @@ val quorum_commits : result -> quorum:int -> (int * commit) list
 (** [merged_trace result ~quorum] interleaves every node's trace lines
     into one time-sorted JSONL document and synthesizes the
     [quorum_commit] event for each block committed by at least [quorum]
-    nodes plus a [fault] event per entry of [result.fault_events] — the
+    nodes plus a [fault] event per entry of [result.fault_events] (the
+    only source of crash and recovery events, so each appears once) — the
     same event families a traced simulator run emits, so sim and socket
     traces feed the same latency and liveness tooling. *)
 val merged_trace : result -> quorum:int -> string list

@@ -40,6 +40,7 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
     (module P : Bft_types.Protocol_intf.S with type msg = m)
     (cfg : Config.t) =
   Config.validate cfg;
+  let module H = Bft_host.Node_host.Make (P) in
   (* A disabled sink installs nothing: the untraced run is the benchmark
      run, instruction for instruction. *)
   let trace =
@@ -103,155 +104,105 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
            ~gst:cfg.Config.gst_ms ())
     else None
   in
-  (match trace with
-  | None -> ()
-  | Some sink ->
-      Bft_sim.Engine.set_delivery_tap engine (fun ~time ~src ~dst msg ->
-          Bft_obs.Trace.emit sink
-            {
-              Bft_obs.Trace.time;
-              node = dst;
-              kind =
-                Bft_obs.Trace.Delivered
-                  {
-                    src;
-                    cls = P.classify msg;
-                    view = P.view_of msg;
-                    bytes = P.msg_size msg;
-                  };
-            }));
+  (* Run-level trace events: quorum commits, client batches, faults. *)
+  let emit ~time ~node kind =
+    Option.iter
+      (fun sink -> Bft_obs.Trace.emit sink { Bft_obs.Trace.time; node; kind })
+      trace
+  in
   (* Metrics has a single quorum-commit observer slot: compose the trace
      emitter, the liveness monitor and the ingest replayer into it. *)
   (match (trace, monitor, ingest) with
   | None, None, None -> ()
   | _ ->
       Metrics.set_on_quorum_commit metrics (fun ~node ~time block ->
+          let view = block.Block.view and height = block.Block.height in
           (match monitor with
           | Some mon ->
-              Bft_obs.Liveness.note_quorum_commit mon ~time
-                ~height:block.Block.height
+              Bft_obs.Liveness.note_quorum_commit mon ~time ~height
                 ~hash:(Hash.to_int block.Block.hash)
           | None -> ());
-          (match trace with
-          | Some sink ->
-              Bft_obs.Trace.emit sink
-                {
-                  Bft_obs.Trace.time;
-                  node;
-                  kind =
-                    Bft_obs.Trace.Quorum_commit
-                      { view = block.Block.view; height = block.Block.height };
-                }
-          | None -> ());
+          if Option.is_some trace then
+            emit ~time ~node (Bft_obs.Trace.Quorum_commit { view; height });
           match ingest with
+          | None -> ()
           | Some ing ->
-              let drained =
+              let count =
                 Bft_mempool.Ingest.on_quorum_commit ing
                   ~payload:block.Block.payload ~time
               in
-              (match trace with
-              | Some sink ->
-                  let r = Bft_mempool.Ingest.batch_report ing ~count:drained in
-                  Bft_obs.Trace.emit sink
-                    {
-                      Bft_obs.Trace.time;
-                      node;
-                      kind =
-                        Bft_obs.Trace.Client_batch
-                          {
-                            view = block.Block.view;
-                            height = block.Block.height;
-                            count = r.Bft_mempool.Ingest.count;
-                            pending = r.Bft_mempool.Ingest.pool_pending;
-                            p50_ms = r.Bft_mempool.Ingest.cum_p50_ms;
-                            p99_ms = r.Bft_mempool.Ingest.cum_p99_ms;
-                          };
-                    }
-              | None -> ())
-          | None -> ()));
-  let validators = Validator_set.make cfg.Config.n in
+              if Option.is_some trace then
+                let r = Bft_mempool.Ingest.batch_report ing ~count in
+                emit ~time ~node
+                  (Bft_obs.Trace.Client_batch
+                     {
+                       view;
+                       height;
+                       count = r.Bft_mempool.Ingest.count;
+                       pending = r.Bft_mempool.Ingest.pool_pending;
+                       p50_ms = r.Bft_mempool.Ingest.cum_p50_ms;
+                       p99_ms = r.Bft_mempool.Ingest.cum_p99_ms;
+                     })));
   let leader_of =
     Bft_workload.Schedules.leader_of cfg.Config.schedule ~n:cfg.Config.n
       ~f':cfg.Config.f_actual
   in
-  (* Logical-clock fault machinery: the current incarnation of every node
-     (for view reads) and a forward reference to the between-events hook
-     the faulted block installs below.  Both are inert unless [logical]:
-     the hook stays a no-op and handlers are installed unwrapped. *)
-  let node_refs : P.node option array = Array.make cfg.Config.n None in
+  (* WALs exist only in fault runs; each participant gets one that outlives
+     its incarnations, so a recovery restarts the node from its own durable
+     state (and only from that — proving the double-vote-prevention story). *)
+  let host =
+    H.create ~n:cfg.Config.n ~delta:cfg.Config.delta_ms ~leader_of
+      ~payload:
+        (match ingest with
+        | Some ing -> Bft_host.Node_host.Clients ing
+        | None -> Bft_host.Node_host.Fixed cfg.Config.payload_bytes)
+      ?trace ~wal:faulted
+      ~now:(fun () -> Bft_sim.Engine.now engine)
+      ~on_commit:(fun id block ->
+        (match monitor with
+        | Some mon ->
+            Bft_obs.Liveness.note_commit mon ~node:id
+              ~time:(Bft_sim.Engine.now engine)
+              ~height:block.Block.height
+        | None -> ());
+        Metrics.on_commit metrics ~node:id
+          ~time:(Bft_sim.Engine.now engine)
+          block;
+        on_commit ~node:id block)
+      ~on_propose:(fun _ block ->
+        Metrics.on_propose metrics ~time:(Bft_sim.Engine.now engine) block)
+      ()
+  in
+  Option.iter (Bft_sim.Engine.set_delivery_tap engine) (H.delivery_tap host);
+  (* Logical-clock fault machinery: a forward reference to the
+     between-events hook the faulted block installs below.  It is inert
+     unless [logical]: the hook stays a no-op and handlers are installed
+     unwrapped. *)
   let after_event_hook = ref (fun (_ : int) -> ()) in
-  let install id node =
-    node_refs.(id) <- Some node;
+  let spawn ?equivocate ?wrap id =
+    let link =
+      {
+        Bft_host.Node_host.send =
+          (fun dst msg -> Bft_sim.Engine.send engine ~src:id ~dst msg);
+        multicast = (fun msg -> Bft_sim.Engine.multicast engine ~src:id msg);
+        set_timer =
+          (fun delay f ->
+            let f =
+              if logical then (fun () ->
+                f ();
+                !after_event_hook id)
+              else f
+            in
+            Bft_sim.Engine.set_timer ~owner:id engine delay f);
+      }
+    in
+    let node = H.spawn host ~link ?equivocate ?wrap id in
     if logical then
       Bft_sim.Engine.set_handler engine id (fun ~src msg ->
           P.handle node ~src msg;
           !after_event_hook id)
-    else Bft_sim.Engine.set_handler engine id (P.handle node)
-  in
-  let env_of id =
-    {
-      Env.id;
-      validators;
-      delta = cfg.Config.delta_ms;
-      now = (fun () -> Bft_sim.Engine.now engine);
-      send = (fun dst msg -> Bft_sim.Engine.send engine ~src:id ~dst msg);
-      multicast = (fun msg -> Bft_sim.Engine.multicast engine ~src:id msg);
-      set_timer =
-        (fun delay f ->
-          let f =
-            if logical then (fun () ->
-              f ();
-              !after_event_hook id)
-            else f
-          in
-          Bft_sim.Engine.set_timer ~owner:id engine delay f);
-      leader_of;
-      make_payload =
-        (fun ~view ~parent ->
-          match ingest with
-          | Some ing ->
-              Bft_mempool.Ingest.cut ing ~view ~parent
-                ~now:(Bft_sim.Engine.now engine)
-          | None -> Payload.make ~id:view ~size_bytes:cfg.Config.payload_bytes);
-      on_commit =
-        (fun block ->
-          (match trace with
-          | None -> ()
-          | Some sink ->
-              Bft_obs.Trace.emit sink
-                {
-                  Bft_obs.Trace.time = Bft_sim.Engine.now engine;
-                  node = id;
-                  kind =
-                    Bft_obs.Trace.Committed
-                      { view = block.Block.view; height = block.Block.height };
-                });
-          (match monitor with
-          | Some mon ->
-              Bft_obs.Liveness.note_commit mon ~node:id
-                ~time:(Bft_sim.Engine.now engine)
-                ~height:block.Block.height
-          | None -> ());
-          Metrics.on_commit metrics ~node:id
-            ~time:(Bft_sim.Engine.now engine)
-            block;
-          on_commit ~node:id block);
-      on_propose =
-        (fun block ->
-          Metrics.on_propose metrics ~time:(Bft_sim.Engine.now engine) block);
-      probe =
-        (match trace with
-        | None -> None
-        | Some sink ->
-            Some
-              (fun ev ->
-                Bft_obs.Trace.emit sink
-                  {
-                    Bft_obs.Trace.time = Bft_sim.Engine.now engine;
-                    node = id;
-                    kind = Bft_obs.Trace.Node_event ev;
-                  }));
-    }
+    else Bft_sim.Engine.set_handler engine id (P.handle node);
+    node
   in
   let silent id =
     Bft_workload.Schedules.is_byzantine ~n:cfg.Config.n ~f':cfg.Config.f_actual
@@ -262,33 +213,21 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
     else if List.mem id cfg.Config.equivocators then Some Byzantine.Equivocate
     else List.assoc_opt id cfg.Config.byzantine
   in
-  (* WALs exist only in fault runs; each participant gets one that outlives
-     its incarnations, so a recovery restarts the node from its own durable
-     state (and only from that — proving the double-vote-prevention story). *)
-  let wals =
-    if faulted then Array.init cfg.Config.n (fun _ -> P.wal_create ())
-    else [||]
-  in
-  let wal_of id = if faulted then Some wals.(id) else None in
   let nodes =
     List.filter_map
       (fun id ->
-        let make ?(equivocate = false) env =
-          let node = P.create ~equivocate ?wal:(wal_of id) env in
-          install id node;
-          Some node
-        in
         match behaviour_of id with
         | Some Byzantine.Silent -> None
-        | Some Byzantine.Equivocate -> make ~equivocate:true (env_of id)
+        | Some Byzantine.Equivocate -> Some (spawn ~equivocate:true id)
         | Some Byzantine.Withhold_votes ->
-            make
-              (Env.with_outgoing_filter
-                 ~keep:(fun msg -> P.classify msg <> `Vote)
-                 (env_of id))
+            Some
+              (spawn
+                 ~wrap:(Env.with_outgoing_filter ~keep:(fun msg ->
+                            P.classify msg <> `Vote))
+                 id)
         | Some (Byzantine.Delay_all delay) ->
-            make (Env.with_outgoing_delay ~delay (env_of id))
-        | None -> make (env_of id))
+            Some (spawn ~wrap:(Env.with_outgoing_delay ~delay) id)
+        | None -> Some (spawn id))
       (List.init cfg.Config.n (fun i -> i))
   in
   (* Interpret the fault schedule: crash/recover thunks, link-level window
@@ -301,12 +240,23 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
        (fun id ->
          if behaviour_of id <> None then Bft_obs.Liveness.set_exempt mon id)
        (List.init cfg.Config.n (fun i -> i));
-     let emit_fault ~time ~node fault =
-       match trace with
-       | Some sink ->
-           Bft_obs.Trace.emit sink
-             { Bft_obs.Trace.time; node; kind = Bft_obs.Trace.Fault fault }
-       | None -> ()
+     let emit_fault ~time ~node f = emit ~time ~node (Bft_obs.Trace.Fault f) in
+     (* A crash or recovery, whichever clock triggered it.  A recovered node
+        is rebuilt from its WAL: [start] resumes from the recorded view and
+        the block synchronizer refills the store (the node catches up
+        instead of re-voting). *)
+     let crash ~time node =
+       Log.debug (fun m -> m "fault: crash node %d at %.0f" node time);
+       Bft_sim.Engine.crash engine node;
+       Bft_obs.Liveness.note_crash mon ~node ~time;
+       emit_fault ~time ~node Bft_obs.Trace.Crash
+     in
+     let recover ~time node =
+       Log.debug (fun m -> m "fault: recover node %d at %.0f" node time);
+       Bft_sim.Engine.recover engine node;
+       Bft_obs.Liveness.note_recover mon ~node ~time;
+       emit_fault ~time ~node Bft_obs.Trace.Recover;
+       P.start (spawn node)
      in
      match lg with
      | Some lg ->
@@ -319,58 +269,32 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
             machinery runs, so the committed chain is a pure function of
             the protocol and the schedule — identical on simulator and
             sockets ([crossval --chaos]). *)
-         let view_of id =
-           match node_refs.(id) with
-           | Some nd -> P.current_view nd
-           | None -> 0
-         in
+         let view_of = H.view host in
          Bft_sim.Engine.set_link_filter engine (fun ~src ~dst ~now:_ ->
              not
                (Bft_faults.Logical.cut lg ~src ~src_view:(view_of src) ~dst));
-         let crashed = Array.make cfg.Config.n false in
-         let recoveries = Bft_faults.Logical.recoveries lg in
-         let next_order = ref 0 in
+         let triggers = Bft_faults.Logical.triggers lg in
+         let last = List.length (Bft_faults.Logical.recoveries lg) - 1 in
          let k_ms = Bft_obs.Liveness.bound mon in
-         let rec do_recover node =
+         let release (idx, node) =
            let time = Bft_sim.Engine.now engine in
-           Log.debug (fun m ->
-               m "fault: logical recover node %d at %.0f" node time);
-           Bft_sim.Engine.recover engine node;
-           Bft_obs.Liveness.note_recover mon ~node ~time;
-           emit_fault ~time ~node Bft_obs.Trace.Recover;
-           let fresh = P.create ?wal:(wal_of node) (env_of node) in
-           install node fresh;
-           P.start fresh;
+           recover ~time node;
            (* After the last recovery the network is disruption-free
               modulo partition windows, whose view anchors pass within a
               few view changes: enforce the liveness bound from here, as
               the wall-clock path does from each heal time. *)
-           if !next_order = List.length recoveries then
+           if idx = last then
              Bft_sim.Engine.schedule_at engine (time +. k_ms) (fun () ->
                  Bft_obs.Liveness.check mon ~since:time ~now:(time +. k_ms))
-         and after_event id =
-           (match Bft_faults.Logical.crash_anchor lg id with
-           | Some v when (not crashed.(id)) && view_of id >= v ->
-               let time = Bft_sim.Engine.now engine in
-               Log.debug (fun m ->
-                   m "fault: logical crash node %d at %.0f (view %d)" id
-                     time (view_of id));
-               crashed.(id) <- true;
-               Bft_sim.Engine.crash engine id;
-               Bft_obs.Liveness.note_crash mon ~node:id ~time;
-               emit_fault ~time ~node:id Bft_obs.Trace.Crash
-           | _ -> ());
-           if id = Bft_faults.Logical.observer lg then
-             let ov = view_of id in
-             let rec fire () =
-               match List.nth_opt recoveries !next_order with
-               | Some (v, node) when v <= ov ->
-                   incr next_order;
-                   do_recover node;
-                   fire ()
-               | _ -> ()
-             in
-             fire ()
+         in
+         let after_event id =
+           let view = view_of id in
+           if
+             Bft_faults.Logical.crash_due triggers ~node:id
+               ~incarnation:(H.incarnation host id) ~view
+           then crash ~time:(Bft_sim.Engine.now engine) id;
+           List.iter release
+             (Bft_faults.Logical.recoveries_due triggers ~node:id ~view)
          in
          after_event_hook := after_event
      | None ->
@@ -399,24 +323,10 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
        (fun ev ->
          match ev with
          | FS.Crash { node; at } ->
-             Bft_sim.Engine.schedule_at engine at (fun () ->
-                 Log.debug (fun m -> m "fault: crash node %d at %.0f" node at);
-                 Bft_sim.Engine.crash engine node;
-                 Bft_obs.Liveness.note_crash mon ~node ~time:at;
-                 emit_fault ~time:at ~node Bft_obs.Trace.Crash)
+             Bft_sim.Engine.schedule_at engine at (fun () -> crash ~time:at node)
          | FS.Recover { node; at } ->
              Bft_sim.Engine.schedule_at engine at (fun () ->
-                 Log.debug (fun m ->
-                     m "fault: recover node %d at %.0f" node at);
-                 Bft_sim.Engine.recover engine node;
-                 Bft_obs.Liveness.note_recover mon ~node ~time:at;
-                 emit_fault ~time:at ~node Bft_obs.Trace.Recover;
-                 (* Rebuild the node from its WAL; [start] resumes from the
-                    recorded view and the block synchronizer refills the
-                    store (the node catches up instead of re-voting). *)
-                 let fresh = P.create ?wal:(wal_of node) (env_of node) in
-                 install node fresh;
-                 P.start fresh)
+                 recover ~time:at node)
          | FS.Partition { from_; until; _ } ->
              window_edges from_ until Bft_obs.Trace.Partition_start
                Bft_obs.Trace.Partition_heal
@@ -471,9 +381,9 @@ let run_protocol (type m) ?(on_commit = fun ~node:_ _ -> ()) ?trace
   (* A logical crash anchored at a view the node reaches during start-up
      must land before any message is delivered. *)
   if logical then
-    Array.iteri
-      (fun id -> function Some _ -> !after_event_hook id | None -> ())
-      node_refs;
+    for id = 0 to cfg.Config.n - 1 do
+      if H.node host id <> None then !after_event_hook id
+    done;
   Bft_sim.Engine.run engine ~until:cfg.Config.duration_ms;
   let alloc = Gc.allocated_bytes () -. alloc0 in
   let stats = Bft_sim.Engine.stats engine in

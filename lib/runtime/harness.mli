@@ -1,6 +1,12 @@
 (** The experiment harness: builds a simulated network from a {!Config.t},
     runs the configured protocol on it and returns the paper's metrics.
 
+    Nodes are wired to the engine through {!Bft_host.Node_host}, the same
+    host the socket cluster and the model checker use; the harness keeps
+    the metrics, the online liveness monitor, the Byzantine environment
+    wrappers and the interpretation of the fault schedule (wall-clock
+    thunks, or the view-anchored triggers of {!Bft_faults.Logical}).
+
     Silent Byzantine nodes are modelled by not instantiating a node at all
     (their messages are never sent, their handlers drop everything), which is
     the worst crash-like behaviour a silent adversary can exhibit and matches

@@ -4,10 +4,7 @@ let quorum ~n =
 let config kind ~n ~blocks =
   {
     (Bft_net.Tcp.default ~n ~target_blocks:blocks) with
-    Bft_net.Tcp.leader_of =
-      Bft_workload.Schedules.leader_of Bft_workload.Schedules.Round_robin ~n
-        ~f':0;
-    protocol_name = Protocol_kind.name kind;
+    Bft_net.Tcp.protocol_name = Protocol_kind.name kind;
   }
 
 let run kind cfg =

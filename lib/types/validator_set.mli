@@ -27,4 +27,11 @@ val weak_quorum : t -> int
 (** [is_member t i] is true when [0 <= i < n]. *)
 val is_member : t -> int -> bool
 
+(** [round_robin t view] — the plain rotation's leader of [view]: node
+    [(view - 1) mod n], so node 0 leads view 1 (views below 1 wrap the same
+    way).  The one round-robin schedule: the simulator's
+    [Schedules.Round_robin], the socket cluster and the model checker all
+    elect with it. *)
+val round_robin : t -> int -> int
+
 val pp : Format.formatter -> t -> unit

@@ -74,4 +74,8 @@ let arrangement t ~n ~f' =
 
 let leader_of t ~n ~f' =
   let arr = arrangement t ~n ~f' in
-  fun view -> arr.((view - 1) mod n)
+  match t with
+  | Round_robin ->
+      Bft_types.Validator_set.round_robin (Bft_types.Validator_set.make n)
+  | Best_case | Worst_moonshot | Worst_jolteon ->
+      fun view -> arr.((view - 1) mod n)

@@ -39,5 +39,6 @@ val is_byzantine : n:int -> f':int -> int -> bool
     Raises [Invalid_argument] on inconsistent [n], [f']. *)
 val arrangement : t -> n:int -> f':int -> int array
 
-(** [leader_of t ~n ~f'] maps a view (1-based) to its leader's node id. *)
+(** [leader_of t ~n ~f'] maps a view (1-based) to its leader's node id.
+    {!Round_robin} is {!Bft_types.Validator_set.round_robin}. *)
 val leader_of : t -> n:int -> f':int -> int -> int

@@ -12,7 +12,8 @@
 #   2. dune runtest           -- unit/property/integration suites plus the
 #                                smoke aliases (bench smoke, mc-smoke,
 #                                mc-swarm-smoke, bench-smoke perf tripwire,
-#                                net smoke, net-chaos-smoke), then a CLI
+#                                net smoke, net-chaos-smoke, help-smoke —
+#                                every man page renders), then a CLI
 #                                explore smoke (a small swarm over a
 #                                healthy world must find no counterexample)
 #   3. dune build @doc        -- only when odoc is installed; docs are part

@@ -397,6 +397,49 @@ let parse_and_run () =
       check_int "one recovery" 1
         (List.length fs.Harness.liveness.Bft_obs.Liveness.recoveries)
 
+(* --- view-anchored triggers ---------------------------------------------- *)
+
+module Logical = Bft_faults.Logical
+
+let logical_of text =
+  match FS.of_string text with
+  | Ok sched -> Logical.of_schedule_exn ~n:4 sched
+  | Error e -> Alcotest.failf "parse error on %S: %s" text e
+
+(* The observer's view jumps from 4 to 7 in one event, past both recovery
+   anchors (5 and 6): both recoveries come out of that one call, in index
+   order, and never again.  Other nodes release nothing, whatever their
+   view. *)
+let test_recoveries_released_once () =
+  let tr =
+    Logical.triggers (logical_of "crash@2:1;crash@3:2;recover@5:1;recover@6:2")
+  in
+  let due ~node ~view = Logical.recoveries_due tr ~node ~view in
+  let pairs = Alcotest.(list (pair int int)) in
+  Alcotest.check pairs "none before the anchors" [] (due ~node:0 ~view:4);
+  Alcotest.check pairs "a non-observer releases nothing" []
+    (due ~node:1 ~view:9);
+  Alcotest.check pairs "both, in index order" [ (0, 1); (1, 2) ]
+    (due ~node:0 ~view:7);
+  Alcotest.check pairs "exactly once" [] (due ~node:0 ~view:8)
+
+(* A crash anchor fires the first time the first incarnation is at or past
+   it, once; a later incarnation never crashes, on the same trigger state
+   (the simulator's) or on a fresh one (a re-forked socket incarnation). *)
+let test_crash_fires_once () =
+  let lg = logical_of "crash@3:1;recover@6:1" in
+  let tr = Logical.triggers lg in
+  let due ?(tr = tr) ~node ~incarnation view =
+    Logical.crash_due tr ~node ~incarnation ~view
+  in
+  check "before the anchor" false (due ~node:1 ~incarnation:0 2);
+  check "no anchor, no crash" false (due ~node:2 ~incarnation:0 9);
+  check "at the anchor" true (due ~node:1 ~incarnation:0 4);
+  check "once" false (due ~node:1 ~incarnation:0 5);
+  check "not on a later incarnation" false (due ~node:1 ~incarnation:1 9);
+  check "not on a later incarnation's own triggers" false
+    (due ~tr:(Logical.triggers lg) ~node:1 ~incarnation:1 9)
+
 let () =
   let wal_case name p = Alcotest.test_case name `Quick (wal_no_double_vote p) in
   Alcotest.run "faults"
@@ -409,6 +452,13 @@ let () =
           Alcotest.test_case "max concurrent" `Quick test_max_concurrent;
           Alcotest.test_case "random schedules valid" `Quick
             test_random_schedules_valid;
+        ] );
+      ( "logical",
+        [
+          Alcotest.test_case "recoveries released once, in order" `Quick
+            test_recoveries_released_once;
+          Alcotest.test_case "crash anchor fires once" `Quick
+            test_crash_fires_once;
         ] );
       ( "engine",
         [

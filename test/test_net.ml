@@ -483,6 +483,7 @@ let wall_chaos_result mode =
       delta_ms = 300.;
       link_delay_ms = 8.;
       faults;
+      trace = true;
     }
   in
   Net_harness.run kind cfg
@@ -550,6 +551,42 @@ let threads_victim_keeps_commits () =
 
 let process_victim_loses_commits () =
   assert_crash_semantics (Lazy.force process_chaos) ~keeps_pre_crash:false
+
+(* The merged trace of a traced crash/recover run holds exactly one
+   [crash] and one [recover] event for the victim, at the coordinator's
+   [fault_events] times: the coordinator is the only source of socket
+   crash and recovery events (a killed child cannot report its own). *)
+let assert_one_fault_each (r : Tcp.result) =
+  let lines = Tcp.merged_trace r ~quorum:(Net_harness.quorum ~n:4) in
+  List.iter
+    (fun (kind, name) ->
+      let times =
+        List.filter_map
+          (fun l ->
+            try
+              Scanf.sscanf l "{\"t\":%f,\"node\":2,\"ev\":\"fault\",\"fault\":%S"
+                (fun t f -> if f = name then Some t else None)
+            with Scanf.Scan_failure _ | End_of_file | Failure _ -> None)
+          lines
+      in
+      let expected =
+        List.filter_map
+          (fun fe ->
+            if fe.Tcp.fe_node = 2 && fe.Tcp.fe_kind = kind then
+              Some fe.Tcp.fe_time_ms
+            else None)
+          r.Tcp.fault_events
+      in
+      Alcotest.(check int) (name ^ " events for node 2") 1 (List.length times);
+      Alcotest.(check (list (float 1e-6)))
+        (name ^ " at the fault_events time") expected times)
+    [ (Bft_obs.Trace.Crash, "crash"); (Bft_obs.Trace.Recover, "recover") ]
+
+let threads_trace_faults_once () =
+  assert_one_fault_each (Lazy.force threads_chaos)
+
+let process_trace_faults_once () =
+  assert_one_fault_each (Lazy.force process_chaos)
 
 (* A crash schedule with no [wal_dir] runs on a temp directory of the run's
    own, which is gone once the run returns. *)
@@ -897,6 +934,10 @@ let () =
             process_victim_loses_commits;
           Alcotest.test_case "default WAL dir removed" `Quick
             default_wal_dir_removed;
+          Alcotest.test_case "threads trace: one crash, one recover" `Quick
+            threads_trace_faults_once;
+          Alcotest.test_case "process trace: one crash, one recover" `Quick
+            process_trace_faults_once;
         ] );
       ( "channel",
         [
