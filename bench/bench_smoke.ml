@@ -1,8 +1,9 @@
 (* CI perf tripwire for the simulator core.
 
    Re-measures the acceptance micro-benchmark — one n = 200 multicast fanned
-   out and drained through the real engine (send -> queue -> dispatch, the
-   batch fast path included) — and compares events/second against the
+   out and drained through the real engine (send -> queue -> dispatch; with
+   uniform zero-jitter links every copy arrives at once, so this is the
+   constant-arrival fan) — and compares events/second against the
    [bench_smoke] block of the committed BENCH_simcore.json.  A regression
    past [tolerance] fails the run (and with it the @bench-smoke alias on
    `dune runtest`), so an accidental allocation or indirection on the hot

@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks of the hot paths under the simulation: block
    hashing, vote aggregation, event-queue churn, block-store ancestry, the
    commit path at two chain heights.  These are per-operation costs,
-   printed in nanoseconds. *)
+   printed in nanoseconds; the two multicast+drain rows are per delivered
+   message, with allocated bytes. *)
 
 open Bechamel
 open Toolkit
@@ -166,8 +167,8 @@ let test_trace_emit =
            Bft_obs.Trace.emit t (trace_event i)
          done))
 
-(* The price an untraced run pays per probe site: one None check, no
-   event allocation (the thunk is never forced). *)
+(* The price an untraced run pays per probe site: the [Env.tracing]
+   check, one None comparison; the event is never built. *)
 let test_probe_disabled =
   Test.make ~name:"probe emit x64 (disabled env)"
     (Staged.stage (fun () ->
@@ -177,6 +178,65 @@ let test_probe_disabled =
            | None -> ()
            | Some f -> f (Probe.Timeout_sent { view = i })
          done))
+
+(* One n = 200 multicast drained through the real engine, in the units of
+   the perfbench ledger: wall ns and allocated bytes per delivered
+   message.  The zero-jitter row takes the constant-arrival fan; the WAN
+   row is the paper's setting — Table II latencies with jitter, 10 Gbit/s
+   egress and a per-vote CPU cost — where every fan is sorted and every
+   copy queues on its receiver's CPU.  Senders rotate so the WAN row sees
+   every region pair.  Median of [multicast_rounds] windows. *)
+let multicast_rounds = 15
+let multicast_window = 400
+
+let multicast_per_msg ~name ?bandwidth_bps ?cpu_cost latency =
+  let n = 200 in
+  let net =
+    Bft_sim.Network.make ?bandwidth_bps ~latency
+      ~delta:(Bft_sim.Latency.upper_bound latency) ()
+  in
+  let e =
+    Bft_sim.Engine.create ~n ~network:net ~seed:1
+      ~msg_size:(fun (_ : int) -> 100)
+      ?cpu_cost ()
+  in
+  let delivered = ref 0 in
+  for i = 0 to n - 1 do
+    Bft_sim.Engine.set_handler e i (fun ~src:_ _ -> incr delivered)
+  done;
+  let multicasts k =
+    for src = 0 to k - 1 do
+      Bft_sim.Engine.multicast e ~src:(src mod n) 7;
+      Bft_sim.Engine.run e ~until:(Bft_sim.Engine.now e +. 1000.)
+    done
+  in
+  multicasts n;
+  let clock = Toolkit.Monotonic_clock.make () in
+  let window () =
+    let d0 = !delivered and w0 = Gc.minor_words () in
+    let t0 = Toolkit.Monotonic_clock.get clock in
+    multicasts multicast_window;
+    let ns = Toolkit.Monotonic_clock.get clock -. t0 in
+    let msgs = float_of_int (!delivered - d0) in
+    (* [Gc.minor_words] is exact at any point; [Gc.allocated_bytes] only
+       advances at minor collections, which the tuned 32 M-word minor heap
+       makes rarer than one per window. *)
+    let words = Gc.minor_words () -. w0 in
+    let bytes = words *. float_of_int (Sys.word_size / 8) in
+    (ns /. msgs, bytes /. msgs)
+  in
+  let runs = Array.init multicast_rounds (fun _ -> window ()) in
+  Array.sort compare runs;
+  let ns, bytes = runs.(multicast_rounds / 2) in
+  Format.printf "%-36s %12.1f ns/msg %8.1f B/msg@." name ns bytes
+
+let multicast_rows () =
+  multicast_per_msg ~name:"multicast+drain n=200 zero jitter"
+    (Bft_sim.Latency.Uniform { base = 10.; jitter = 0. });
+  multicast_per_msg ~name:"multicast+drain n=200 WAN+bw+cpu"
+    ~bandwidth_bps:Bft_workload.Regions.bandwidth_bps
+    ~cpu_cost:(fun _ -> Cpu_model.verify_signatures 1)
+    (Bft_workload.Regions.latency_model ())
 
 (* Ancestry last, so the commit-path rows [run] prints after these sit
    next to it. *)
@@ -208,5 +268,6 @@ let run () =
           | Some [] | None -> Format.printf "%-36s (no estimate)@." name)
         analyzed)
     tests;
+  multicast_rows ();
   commit_at_height ~name:"node-core commit at height 1k" 1_000;
   commit_at_height ~name:"node-core commit at height 10k" 10_000

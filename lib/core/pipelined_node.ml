@@ -132,7 +132,7 @@ and send_timeout t view =
     Hashtbl.replace t.timeout_sent view ();
     t.timeout_view <- max t.timeout_view view;
     persist t;
-    Env.emit t.env (fun () -> Probe.Timeout_sent { view });
+    if Env.tracing t.env then Env.record t.env (Probe.Timeout_sent { view });
     t.env.Env.multicast (Message.Timeout { view; lock = Some t.lock })
   end
 
@@ -143,15 +143,16 @@ and advance_to t view how =
     | Via_cert c -> t.env.Env.multicast (Message.Cert_gossip c)
     | Via_tc tc -> t.env.Env.send (t.env.Env.leader_of view) (Message.Tc_gossip tc)
     | Via_start | Via_recovery -> ());
-    Env.emit t.env (fun () ->
-        let via =
-          match how with
-          | Via_cert _ -> `Cert
-          | Via_tc _ -> `Tc
-          | Via_start -> `Start
-          | Via_recovery -> `Recovery
-        in
-        Probe.View_entered { view; via });
+    if Env.tracing t.env then begin
+      let via =
+        match how with
+        | Via_cert _ -> `Cert
+        | Via_tc _ -> `Tc
+        | Via_start -> `Start
+        | Via_recovery -> `Recovery
+      in
+      Env.record t.env (Probe.View_entered { view; via })
+    end;
     t.cur_view <- view;
     t.voted_opt <- None;
     t.voted_main <- false;
@@ -253,8 +254,9 @@ and try_fallback_vote t block cert tc =
   end
 
 and cast_vote t kind (block : Block.t) =
-  Env.emit t.env (fun () ->
-      Probe.Vote_sent
+  if Env.tracing t.env then
+    Env.record t.env
+      (Probe.Vote_sent
         {
           view = block.Block.view;
           height = block.Block.height;
@@ -287,8 +289,9 @@ and maybe_commit_vote t (c : Cert.t) =
     if direct || indirect () then begin
       prune_commit_voted t;
       Hashtbl.replace t.commit_voted (Hash.to_int block.Block.hash) block;
-      Env.emit t.env (fun () ->
-          Probe.Vote_sent
+      if Env.tracing t.env then
+        Env.record t.env
+          (Probe.Vote_sent
             {
               view = c.Cert.view;
               height = block.Block.height;
@@ -370,7 +373,8 @@ let on_timeout t ~src view lock =
     end;
     if count >= Env.quorum t.env && not entry.tc_formed then begin
       entry.tc_formed <- true;
-      Env.emit t.env (fun () -> Probe.Tc_formed { view; signers = count });
+      if Env.tracing t.env then
+        Env.record t.env (Probe.Tc_formed { view; signers = count });
       observe_tc t (Tc.make ~view ~high_cert:entry.high ~signers:count)
     end
   end
@@ -405,8 +409,9 @@ let handle t ~src msg =
   | Message.Vote { kind; block } -> (
       match Node_core.add_vote t.core ~signer:src ~kind block with
       | Some cert ->
-          Env.emit t.env (fun () ->
-              Probe.Cert_formed
+          if Env.tracing t.env then
+            Env.record t.env
+              (Probe.Cert_formed
                 {
                   view = cert.Cert.view;
                   height = cert.Cert.block.Block.height;

@@ -11,14 +11,16 @@ let conflicting_block env ~view ~parent =
 
 let send env ~equivocate ~view ~parent wrap =
   let block = honest_block env ~view ~parent in
-  Env.emit env (fun () ->
-      let kind =
-        match wrap block with
-        | Message.Opt_propose _ -> Probe.Optimistic
-        | Message.Fb_propose _ -> Probe.Fallback
-        | _ -> Probe.Normal
-      in
-      Probe.Proposal_sent { view; height = block.Block.height; kind });
+  if Env.tracing env then begin
+    let kind =
+      match wrap block with
+      | Message.Opt_propose _ -> Probe.Optimistic
+      | Message.Fb_propose _ -> Probe.Fallback
+      | _ -> Probe.Normal
+    in
+    Env.record env
+      (Probe.Proposal_sent { view; height = block.Block.height; kind })
+  end;
   env.Env.on_propose block;
   if not equivocate then env.Env.multicast (wrap block)
   else begin

@@ -117,15 +117,16 @@ and advance_to t view how =
     | Via_cert c -> t.env.Env.multicast (Message.Cert_gossip c)
     | Via_tc tc -> t.env.Env.multicast (Message.Tc_gossip tc)
     | Via_start | Via_recovery -> ());
-    Env.emit t.env (fun () ->
-        let via =
-          match how with
-          | Via_cert _ -> `Cert
-          | Via_tc _ -> `Tc
-          | Via_start -> `Start
-          | Via_recovery -> `Recovery
-        in
-        Probe.View_entered { view; via });
+    if Env.tracing t.env then begin
+      let via =
+        match how with
+        | Via_cert _ -> `Cert
+        | Via_tc _ -> `Tc
+        | Via_start -> `Start
+        | Via_recovery -> `Recovery
+      in
+      Env.record t.env (Probe.View_entered { view; via })
+    end;
     t.lock <- Node_core.high_cert t.core;
     if t.lock.Cert.view < view - 1 then
       t.env.Env.send (t.env.Env.leader_of view)
@@ -194,7 +195,8 @@ and local_timeout t =
   if not t.timed_out then begin
     t.timed_out <- true;
     persist t;
-    Env.emit t.env (fun () -> Probe.Timeout_sent { view = t.cur_view });
+    if Env.tracing t.env then
+      Env.record t.env (Probe.Timeout_sent { view = t.cur_view });
     (* The timeout carries the sender's lock so that lagging nodes learn
        the certificate that let the rest of the network advance. *)
     t.env.Env.multicast
@@ -232,8 +234,9 @@ and try_normal_vote t block cert =
 and cast_vote t (block : Block.t) =
   t.voted <- true;
   persist t;
-  Env.emit t.env (fun () ->
-      Probe.Vote_sent
+  if Env.tracing t.env then
+    Env.record t.env
+      (Probe.Vote_sent
         {
           view = block.Block.view;
           height = block.Block.height;
@@ -274,7 +277,8 @@ let on_timeout t ~src view =
     if count >= Env.weak_quorum t.env && view = t.cur_view then local_timeout t;
     if count >= Env.quorum t.env && not entry.tc_formed then begin
       entry.tc_formed <- true;
-      Env.emit t.env (fun () -> Probe.Tc_formed { view; signers = count });
+      if Env.tracing t.env then
+        Env.record t.env (Probe.Tc_formed { view; signers = count });
       observe_tc t (Tc.make ~view ~high_cert:None ~signers:count)
     end
   end
@@ -295,8 +299,9 @@ let handle t ~src msg =
         Node_core.add_vote t.core ~signer:src ~kind:Vote_kind.Normal block
       with
       | Some cert ->
-          Env.emit t.env (fun () ->
-              Probe.Cert_formed
+          if Env.tracing t.env then
+            Env.record t.env
+              (Probe.Cert_formed
                 {
                   view = cert.Cert.view;
                   height = cert.Cert.block.Block.height;

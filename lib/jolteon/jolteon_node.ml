@@ -99,11 +99,13 @@ let conflicting_block t ~round ~parent =
 let send_proposal t ~round ~qc ~tc =
   let parent = qc.Cert.block in
   let block = honest_block t ~round ~parent in
-  Env.emit t.env (fun () ->
-      let kind =
-        if tc = None then Probe.Normal else Probe.Fallback
-      in
-      Probe.Proposal_sent { view = round; height = block.Block.height; kind });
+  if Env.tracing t.env then begin
+    let kind =
+      if tc = None then Probe.Normal else Probe.Fallback
+    in
+    Env.record t.env
+      (Probe.Proposal_sent { view = round; height = block.Block.height; kind })
+  end;
   t.env.Env.on_propose block;
   if not t.equivocate then
     t.env.Env.multicast (Jolteon_msg.Propose { block; qc; tc })
@@ -137,7 +139,8 @@ and send_timeout t round =
     Hashtbl.replace t.timeout_sent round ();
     t.timeout_round <- max t.timeout_round round;
     persist t;
-    Env.emit t.env (fun () -> Probe.Timeout_sent { view = round });
+    if Env.tracing t.env then
+      Env.record t.env (Probe.Timeout_sent { view = round });
     t.env.Env.multicast
       (Jolteon_msg.Timeout { round; high_qc = Node_core.high_cert t.core })
   end
@@ -160,15 +163,16 @@ and on_round_timer t =
 
 and advance_to t round how =
   if round > t.cur_round then begin
-    Env.emit t.env (fun () ->
-        let via =
-          match how with
-          | Via_qc _ -> `Cert
-          | Via_tc _ -> `Tc
-          | Via_start -> `Start
-          | Via_recovery -> `Recovery
-        in
-        Probe.View_entered { view = round; via });
+    if Env.tracing t.env then begin
+      let via =
+        match how with
+        | Via_qc _ -> `Cert
+        | Via_tc _ -> `Tc
+        | Via_start -> `Start
+        | Via_recovery -> `Recovery
+      in
+      Env.record t.env (Probe.View_entered { view = round; via })
+    end;
     t.cur_round <- round;
     persist t;
     arm_round_timer t;
@@ -215,8 +219,9 @@ and try_vote t (P (block, qc, tc)) =
   then begin
     t.last_voted_round <- round;
     persist t;
-    Env.emit t.env (fun () ->
-        Probe.Vote_sent
+    if Env.tracing t.env then
+      Env.record t.env
+        (Probe.Vote_sent
           { view = round; height = block.Block.height; kind = "normal" });
     t.env.Env.send (t.env.Env.leader_of (round + 1)) (Jolteon_msg.Vote { block })
   end
@@ -257,8 +262,8 @@ let on_timeout t ~src round high_qc =
     end;
     if count >= Env.quorum t.env && not entry.tc_formed then begin
       entry.tc_formed <- true;
-      Env.emit t.env (fun () ->
-          Probe.Tc_formed { view = round; signers = count });
+      if Env.tracing t.env then
+        Env.record t.env (Probe.Tc_formed { view = round; signers = count });
       observe_tc t (Tc.make ~view:round ~high_cert:(Some entry.high) ~signers:count)
     end
   end
@@ -279,8 +284,9 @@ let handle t ~src msg =
           block
       with
       | Some qc ->
-          Env.emit t.env (fun () ->
-              Probe.Cert_formed
+          if Env.tracing t.env then
+            Env.record t.env
+              (Probe.Cert_formed
                 {
                   view = qc.Cert.view;
                   height = qc.Cert.block.Block.height;

@@ -4,29 +4,55 @@ type stats = {
   mutable bytes_sent : int;
 }
 
-(* Message traffic — the O(n^2)-per-view hot path — is scheduled as pooled
-   mutable cells carrying (src, dst, dst_epoch, msg), so steady-state send
-   traffic reuses flat records instead of allocating one block per send:
-   when a message event executes, its cell returns to a per-engine free
-   stack and the next [send] claims it back.  Each cell is allocated
-   together with its [Msg] wrapper (tied by [c_ev]), so re-enqueueing costs
-   zero allocations.  Timers and one-off scheduled actions are inherently
-   code, so those arms keep a closure.
+(* The event heap orders entries by (time, seq), and most of what it holds
+   is message traffic: a view's O(n^2) votes.  Three kinds of entry keep
+   that traffic small in the heap without changing the order in which
+   anything is delivered.
 
-   A [Batch] is one heap entry standing for a whole multicast fan-out whose
-   copies all arrive at the same instant (uniform latency, no jitter, no
-   bandwidth): destinations are packed into an int array and delivered in
-   ascending order, which is exactly the order the per-destination events
-   would have popped in (same time, consecutive seqs).  This turns the
-   O(n log n) heap traffic of a fan-out into O(log n).
+   A [Msg] cell is one unicast, self hand-off or captured event.  Cells are
+   pooled mutable records carrying (src, dst, dst_epoch, msg), each
+   allocated together with its [Msg] wrapper (tied by [c_ev]), so steady
+   state traffic re-enqueues them with zero allocations: when a message
+   executes, its cell returns to a per-engine free stack.
 
-   Message cells additionally carry the destination's incarnation epoch at
-   enqueue time: crashing a node bumps its epoch, so in-flight events
-   addressed to the previous incarnation are dropped on execution instead
-   of resurrecting state the crash was supposed to lose. *)
+   A [Fan] is one uncaptured multicast.  At send time it computes all n - 1
+   network arrivals in destination order — the RNG draws for filter, drop,
+   latency, pre-GST delay and duplication happen exactly as n - 1 separate
+   sends would make them — and gives copy k the sequence number the k-th
+   separate push would have taken.  The arrivals are kept in two flat
+   arrays, sorted by (arrival, seq): the fan sits in the heap keyed by its
+   head, delivers the copies that arrive at that instant, and re-keys
+   itself to the next one ([Event_queue.replace_top]).  Merging sorted
+   streams through a heap pops in the same order as one heap entry per
+   copy, so the schedule is bit for bit the per-copy one.  When every copy
+   arrives at the same instant (uniform latency without jitter, no
+   bandwidth, drop, duplication, filter or delay overlay) the arrival is
+   one constant, computed once, and the whole fan drains in one step.
+
+   A [Ring] is one node's CPU queue (when a CPU cost model is installed).
+   A message whose processing finishes in the future waits in its
+   destination's FIFO ring; a node's finish times never decrease and seqs
+   are taken at enqueue, so the ring is sorted by (finish, seq) and one
+   heap entry, its head, stands for all of it.  The exception is a crash,
+   which resets the node's CPU queue: a later finish can then fall below
+   the ring's tail, and such a message becomes a standalone [Msg] cell.
+
+   Timers and one-off scheduled actions are inherently code, so those arms
+   keep a closure.  Under a capture hook (the model checker) every message
+   copy is its own [Msg] cell, as the hook's owner orders them one by one.
+
+   On the paper's n = 200 WAN setting this keeps the heap at about 2,200
+   entries where one entry per copy and per CPU task held about 73,000.
+
+   Message cells, fan copies and ring slots carry the destination's
+   incarnation epoch at enqueue time: crashing a node bumps its epoch, so
+   in-flight events addressed to the previous incarnation are dropped on
+   execution instead of resurrecting state the crash was supposed to
+   lose. *)
 type 'msg event =
   | Msg of 'msg cell
-  | Batch of 'msg batch
+  | Fan of 'msg fan
+  | Ring of 'msg ring
   | Timer of timer
   | Thunk of (unit -> unit)
 
@@ -41,12 +67,33 @@ and 'msg cell = {
   c_ev : 'msg event;  (* this cell's own [Msg] wrapper, allocated once *)
 }
 
-and 'msg batch = {
-  mutable b_src : int;
-  mutable b_msg : 'msg;
-  mutable b_count : int;
-  mutable b_slots : int array;  (* [(epoch lsl slot_bits) lor dst] *)
-  b_ev : 'msg event;
+and 'msg fan = {
+  mutable f_src : int;
+  mutable f_msg : 'msg;
+  mutable f_seq0 : int;  (* copy k's seq is [f_seq0 + k] *)
+  mutable f_next : int;  (* sorted position of the next delivery *)
+  mutable f_count : int;
+  (* Every copy arrives at [f_times.(0)]: the rest of [f_times] is unset. *)
+  mutable f_constant : bool;
+  (* Parallel, sorted by (arrival, copy index); pooled with the fan and
+     sized to the fan-out (grown only by duplicated copies). *)
+  mutable f_times : float array;
+  mutable f_slots : int array;
+      (* [(epoch lsl epoch_shift) lor (k lsl node_bits) lor dst] *)
+  f_ev : 'msg event;
+}
+
+and 'msg ring = {
+  r_dst : int;
+  mutable r_head : int;
+  mutable r_len : int;
+  (* Circular, capacity a power of two; [r_msg] is [[||]] until the first
+     message supplies a fill value. *)
+  mutable r_finish : float array;
+  mutable r_seq : int array;
+  mutable r_from : int array;  (* [(epoch lsl node_bits) lor src] *)
+  mutable r_msg : 'msg array;
+  r_ev : 'msg event;
 }
 
 and timer = {
@@ -56,10 +103,18 @@ and timer = {
   action : unit -> unit;
 }
 
-(* Destination index width inside a batch slot; the epoch occupies the bits
-   above.  Bounds n at 2^21 nodes, far past any simulated world. *)
-let slot_bits = 21
-let slot_mask = (1 lsl slot_bits) - 1
+(* Packed slot fields.  A node index takes [node_bits]; a fan's copy index
+   (at most 2 (n - 1) with duplication) one bit more; the epoch the bits
+   above.  Comparing [slot land order_mask] compares copy indices. *)
+let node_bits = 20
+let node_mask = (1 lsl node_bits) - 1
+let epoch_shift = (2 * node_bits) + 1
+let order_mask = (1 lsl epoch_shift) - 1
+let max_epoch = (1 lsl (62 - epoch_shift)) - 1
+let[@inline] fan_slot ~epoch ~copy ~dst =
+  (epoch lsl epoch_shift) lor (copy lsl node_bits) lor dst
+
+let[@inline] copy_of slot = (slot land order_mask) lsr node_bits
 
 type 'msg pending = 'msg event
 
@@ -77,23 +132,27 @@ type 'msg t = {
   net_rng : Rng.t;
   egress_free : float array;
   cpu_free : float array;
+  cpu_rings : 'msg ring array;
   msg_size : 'msg -> int;
   cpu_cost : ('msg -> float) option;
   mutable clock : float;
+  (* Arrival times of one unicast (and its duplicate): written in place by
+     [arrivals] so no float crosses a call boxed. *)
+  arrival : float array;
   (* Fault state: [down.(i)] quenches node [i]'s sends, deliveries and
      timers; [epochs.(i)] counts its incarnations so events and timers from
      before a crash stay dead after recovery. *)
   down : bool array;
   epochs : int array;
-  (* Free stacks for message cells and fan-out batches.  The engine is
-     single-threaded, so one pool serves all nodes; it grows to the
-     steady-state number of in-flight messages and then every send is
-     allocation-free.  Pooling is disabled under a capture hook — the
-     hook's owner holds events across dispatches. *)
+  (* Free stacks for message cells and fans.  The engine is single-threaded,
+     so one pool serves all nodes; it grows to the steady-state number of
+     in-flight messages and then every send is allocation-free.  Pooling is
+     disabled under a capture hook — the hook's owner holds events across
+     dispatches. *)
   mutable cell_pool : 'msg cell array;
   mutable cell_pool_len : int;
-  mutable batch_pool : 'msg batch array;
-  mutable batch_pool_len : int;
+  mutable fan_pool : 'msg fan array;
+  mutable fan_pool_len : int;
   (* The filter, delay overlay and tap default to no-ops; the [_installed]
      flags let the per-message path skip the indirect call entirely in the
      common uninstrumented, unpartitioned run. *)
@@ -120,7 +179,7 @@ let fmax (a : float) (b : float) = if a < b then b else a
 
 let create ~n ~network ~seed ~msg_size ?cpu_cost () =
   if n < 1 then invalid_arg "Engine.create: n < 1";
-  if n > slot_mask then invalid_arg "Engine.create: n too large";
+  if n > node_mask then invalid_arg "Engine.create: n too large";
   let root = Rng.create seed in
   {
     n;
@@ -131,15 +190,33 @@ let create ~n ~network ~seed ~msg_size ?cpu_cost () =
     net_rng = Rng.split root;
     egress_free = Array.make n 0.;
     cpu_free = Array.make n 0.;
+    cpu_rings =
+      (if cpu_cost = None then [||]
+       else
+         Array.init n (fun dst ->
+             let rec r =
+               {
+                 r_dst = dst;
+                 r_head = 0;
+                 r_len = 0;
+                 r_finish = [||];
+                 r_seq = [||];
+                 r_from = [||];
+                 r_msg = [||];
+                 r_ev = Ring r;
+               }
+             in
+             r));
     msg_size;
     cpu_cost;
     clock = 0.;
+    arrival = Array.make 2 0.;
     down = Array.make n false;
     epochs = Array.make n 0;
     cell_pool = [||];
     cell_pool_len = 0;
-    batch_pool = [||];
-    batch_pool_len = 0;
+    fan_pool = [||];
+    fan_pool_len = 0;
     filter = (fun ~src:_ ~dst:_ ~now:_ -> true);
     filter_installed = false;
     delay = (fun ~src:_ ~dst:_ ~now:_ -> 0.);
@@ -194,52 +271,52 @@ let release_cell t c =
     t.cell_pool_len <- len + 1
   end
 
-(* Batches only exist on the captureless fast path, so acquisition never
-   consults the capture flag. *)
-let acquire_batch t ~src msg =
-  let len = t.batch_pool_len in
-  let b =
-    if len > 0 then begin
-      let b = Array.unsafe_get t.batch_pool (len - 1) in
-      t.batch_pool_len <- len - 1;
-      b.b_src <- src;
-      b.b_msg <- msg;
-      b
-    end
-    else
-      let rec b =
-        { b_src = src; b_msg = msg; b_count = 0; b_slots = [||]; b_ev = Batch b }
-      in
-      b
-  in
-  if Array.length b.b_slots < t.n then b.b_slots <- Array.make t.n 0;
-  b
+(* Fans only exist on the captureless path, so acquisition never consults
+   the capture flag. *)
+let acquire_fan t ~src msg =
+  let len = t.fan_pool_len in
+  if len > 0 then begin
+    let f = Array.unsafe_get t.fan_pool (len - 1) in
+    t.fan_pool_len <- len - 1;
+    f.f_src <- src;
+    f.f_msg <- msg;
+    f
+  end
+  else
+    let rec f =
+      {
+        f_src = src;
+        f_msg = msg;
+        f_seq0 = 0;
+        f_next = 0;
+        f_count = 0;
+        f_constant = false;
+        f_times = Array.make (t.n - 1) 0.;
+        f_slots = Array.make (t.n - 1) 0;
+        f_ev = Fan f;
+      }
+    in
+    f
 
-let release_batch t b =
-  let len = t.batch_pool_len in
-  if len = Array.length t.batch_pool then begin
-    let pool = Array.make (if len = 0 then 4 else 2 * len) b in
-    Array.blit t.batch_pool 0 pool 0 len;
-    t.batch_pool <- pool
+let release_fan t f =
+  let len = t.fan_pool_len in
+  if len = Array.length t.fan_pool then begin
+    let pool = Array.make (if len = 0 then 4 else 2 * len) f in
+    Array.blit t.fan_pool 0 pool 0 len;
+    t.fan_pool <- pool
   end;
-  Array.unsafe_set t.batch_pool len b;
-  t.batch_pool_len <- len + 1
+  Array.unsafe_set t.fan_pool len f;
+  t.fan_pool_len <- len + 1
 
-(* All event scheduling funnels through here so an installed capture hook
-   sees every message, timer and thunk the simulation would otherwise order
-   by time. *)
-let enqueue t ~time ev =
-  match t.capture with
-  | None -> Event_queue.push t.queue ~time ev
-  | Some f -> f ev
-
-(* Message-event scheduling: pooled cells when the engine owns ordering,
-   fresh cells under a capture hook (whose owner may hold them
-   indefinitely). *)
-let enqueue_msg t ~time ~src ~dst ~epoch ~deliver msg =
+(* Message-event scheduling at [times.(k)] with the next seq: pooled cells
+   when the engine owns ordering, fresh cells under a capture hook (whose
+   owner may hold them indefinitely). *)
+let enqueue_msg t times k ~src ~dst ~epoch ~deliver msg =
   match t.capture with
   | None ->
-      Event_queue.push t.queue ~time (acquire_cell t ~src ~dst ~epoch ~deliver msg)
+      let seq = Event_queue.reserve_seqs t.queue 1 in
+      Event_queue.push_keyed t.queue times k ~seq
+        (acquire_cell t ~src ~dst ~epoch ~deliver msg)
   | Some f -> f (fresh_cell ~src ~dst ~epoch ~deliver msg)
 
 let set_capture t f =
@@ -248,9 +325,9 @@ let set_capture t f =
 
 let inspect = function
   | Msg c -> Pending_message { src = c.c_src; dst = c.c_dst; msg = c.c_msg }
-  | Batch _ ->
-      (* Batches are never created under a capture hook, and only captured
-         events are inspectable. *)
+  | Fan _ | Ring _ ->
+      (* Fans and rings are never created under a capture hook, and only
+         captured events are inspectable. *)
       assert false
   | Timer tm -> Pending_timer { owner = tm.owner }
   | Thunk _ -> Pending_task
@@ -284,6 +361,8 @@ let is_down t i =
 let crash t i =
   check_node t "crash" i;
   if not t.down.(i) then begin
+    if t.epochs.(i) = max_epoch then
+      invalid_arg "Engine.crash: too many incarnations";
     t.down.(i) <- true;
     t.epochs.(i) <- t.epochs.(i) + 1;
     t.handlers.(i) <- (fun ~src:_ _ -> ());
@@ -304,6 +383,53 @@ let deliver t ~src ~dst ~epoch msg =
     t.handlers.(dst) ~src msg
   end
 
+(* {2 CPU rings} *)
+
+let grow_ring r msg =
+  let cap = Array.length r.r_finish in
+  let cap' = if cap = 0 then 8 else 2 * cap in
+  let finish = Array.make cap' 0. and seq = Array.make cap' 0 in
+  let from = Array.make cap' 0 and msgs = Array.make cap' msg in
+  (* Unroll the live window to the front. *)
+  for k = 0 to r.r_len - 1 do
+    let i = (r.r_head + k) land (cap - 1) in
+    finish.(k) <- r.r_finish.(i);
+    seq.(k) <- r.r_seq.(i);
+    from.(k) <- r.r_from.(i);
+    msgs.(k) <- r.r_msg.(i)
+  done;
+  r.r_head <- 0;
+  r.r_finish <- finish;
+  r.r_seq <- seq;
+  r.r_from <- from;
+  r.r_msg <- msgs
+
+(* Queue a message on [dst]'s CPU until [cpu_free.(dst)], its finish time
+   (captureless path).  The seq is taken now, as a push would. *)
+let queue_cpu t ~src ~dst ~epoch msg =
+  let r = Array.unsafe_get t.cpu_rings dst in
+  let seq = Event_queue.reserve_seqs t.queue 1 in
+  let len = r.r_len in
+  if
+    len > 0
+    && Array.unsafe_get t.cpu_free dst
+       < r.r_finish.((r.r_head + len - 1) land (Array.length r.r_finish - 1))
+  then
+    (* Below the tail: the node crashed with a backlog since the tail was
+       queued.  Keep the ring sorted; this message goes on its own. *)
+    Event_queue.push_keyed t.queue t.cpu_free dst ~seq
+      (acquire_cell t ~src ~dst ~epoch ~deliver:true msg)
+  else begin
+    if len = Array.length r.r_finish then grow_ring r msg;
+    let i = (r.r_head + len) land (Array.length r.r_finish - 1) in
+    Array.unsafe_set r.r_finish i (Array.unsafe_get t.cpu_free dst);
+    Array.unsafe_set r.r_seq i seq;
+    Array.unsafe_set r.r_from i ((epoch lsl node_bits) lor src);
+    Array.unsafe_set r.r_msg i msg;
+    r.r_len <- len + 1;
+    if len = 0 then Event_queue.push_keyed t.queue r.r_finish i ~seq r.r_ev
+  end
+
 (* Run the message through [dst]'s serial CPU queue before handing it to the
    handler; invoked at the message's network arrival time. *)
 let process t ~src ~dst ~epoch msg =
@@ -317,38 +443,59 @@ let process t ~src ~dst ~epoch msg =
         let finish = start +. cost msg in
         Array.unsafe_set t.cpu_free dst finish;
         if finish <= t.clock then deliver t ~src ~dst ~epoch msg
-        else enqueue_msg t ~time:finish ~src ~dst ~epoch ~deliver:true msg
+        else if t.capture_installed then
+          enqueue_msg t t.cpu_free dst ~src ~dst ~epoch ~deliver:true msg
+        else queue_cpu t ~src ~dst ~epoch msg
 
-(* One network send with the byte size already computed and accounted. *)
-let send_sized t ~src ~dst ~size msg =
-  if Array.unsafe_get t.down src then ()
-  else if dst = src then
-    (* Local hand-off: no serialization, no propagation, no CPU charge. *)
-    enqueue_msg t ~time:t.clock ~src ~dst
-      ~epoch:(Array.unsafe_get t.epochs dst)
-      ~deliver:true msg
-  else if (not t.filter_installed) || t.filter ~src ~dst ~now:t.clock then begin
-    let drop = t.network.Network.drop_prob in
-    if drop > 0. && Rng.float t.net_rng 1. < drop then ()
+(* {2 Sends} *)
+
+(* The network arrivals of one non-self copy, with the RNG draws in their
+   fixed order: filter, drop, latency (and pre-GST delay), delay overlay,
+   duplication.  Writes them to [times.(k)] (and [times.(k + 1)] for a
+   duplicate, which trails the original slightly) and returns how many it
+   wrote: 0, 1 or 2. *)
+let arrivals t ~src ~dst ~size times k =
+  if t.filter_installed && not (t.filter ~src ~dst ~now:t.clock) then 0
+  else
+    let net = t.network in
+    let drop = net.Network.drop_prob in
+    if drop > 0. && Rng.float t.net_rng 1. < drop then 0
     else begin
       let arrival =
-        Network.delivery_into t.network t.net_rng ~now:t.clock
-          ~egress:t.egress_free ~src ~dst ~size
+        Network.delivery_into net t.net_rng ~now:t.clock ~egress:t.egress_free
+          ~src ~dst ~size
       in
       let arrival =
         if t.delay_installed then arrival +. t.delay ~src ~dst ~now:t.clock
         else arrival
       in
-      let epoch = Array.unsafe_get t.epochs dst in
-      enqueue_msg t ~time:arrival ~src ~dst ~epoch ~deliver:false msg;
-      let dup = t.network.Network.duplicate_prob in
+      Array.unsafe_set times k arrival;
+      let dup = net.Network.duplicate_prob in
       if dup > 0. && Rng.float t.net_rng 1. < dup then begin
-        (* Network-level duplication: the copy trails the original slightly. *)
-        let lag = Rng.float t.net_rng (0.5 *. t.network.Network.delta) in
-        enqueue_msg t ~time:(arrival +. lag) ~src ~dst ~epoch ~deliver:false msg
+        let lag = Rng.float t.net_rng (0.5 *. net.Network.delta) in
+        Array.unsafe_set times (k + 1) (arrival +. lag);
+        2
       end
+      else 1
     end
+
+(* One network send, one [Msg] cell per copy, with the byte size already
+   computed and accounted. *)
+let send_sized t ~src ~dst ~size msg =
+  if Array.unsafe_get t.down src then ()
+  else if dst = src then begin
+    (* Local hand-off: no serialization, no propagation, no CPU charge. *)
+    Array.unsafe_set t.arrival 0 t.clock;
+    enqueue_msg t t.arrival 0 ~src ~dst
+      ~epoch:(Array.unsafe_get t.epochs dst)
+      ~deliver:true msg
   end
+  else
+    let copies = arrivals t ~src ~dst ~size t.arrival 0 in
+    let epoch = Array.unsafe_get t.epochs dst in
+    for k = 0 to copies - 1 do
+      enqueue_msg t t.arrival k ~src ~dst ~epoch ~deliver:false msg
+    done
 
 let send t ~src ~dst msg =
   if Array.unsafe_get t.down src then ()
@@ -359,12 +506,152 @@ let send t ~src ~dst msg =
     send_sized t ~src ~dst ~size msg
   end
 
-(* Per-destination fan-out, one event each — the general multicast path. *)
-let fanout_sends t ~src ~size msg =
-  if not t.capture_installed then Event_queue.reserve t.queue (t.n - 1);
-  for dst = 0 to t.n - 1 do
-    if dst <> src then send_sized t ~src ~dst ~size msg
-  done
+let[@inline] fan_before (times : float array) (slots : int array) i j =
+  let ti = Array.unsafe_get times i and tj = Array.unsafe_get times j in
+  ti < tj
+  || ti = tj
+     && Array.unsafe_get slots i land order_mask
+        < Array.unsafe_get slots j land order_mask
+
+let fan_swap (times : float array) (slots : int array) i j =
+  let ti = Array.unsafe_get times i and si = Array.unsafe_get slots i in
+  Array.unsafe_set times i (Array.unsafe_get times j);
+  Array.unsafe_set slots i (Array.unsafe_get slots j);
+  Array.unsafe_set times j ti;
+  Array.unsafe_set slots j si
+
+(* Sort [lo, hi] of a fan's parallel arrays by (arrival, copy index):
+   quicksort with a median-of-three pivot, insertion sort below 8. *)
+let rec sort_fan (times : float array) (slots : int array) lo hi =
+  if hi - lo < 8 then
+    for i = lo + 1 to hi do
+      let t0 = Array.unsafe_get times i and s0 = Array.unsafe_get slots i in
+      let o0 = s0 land order_mask in
+      let j = ref (i - 1) in
+      while
+        !j >= lo
+        &&
+        let tj = Array.unsafe_get times !j in
+        t0 < tj || (t0 = tj && o0 < Array.unsafe_get slots !j land order_mask)
+      do
+        Array.unsafe_set times (!j + 1) (Array.unsafe_get times !j);
+        Array.unsafe_set slots (!j + 1) (Array.unsafe_get slots !j);
+        decr j
+      done;
+      Array.unsafe_set times (!j + 1) t0;
+      Array.unsafe_set slots (!j + 1) s0
+    done
+  else begin
+    let mid = lo + ((hi - lo) / 2) in
+    if fan_before times slots mid lo then fan_swap times slots mid lo;
+    if fan_before times slots hi lo then fan_swap times slots hi lo;
+    if fan_before times slots hi mid then fan_swap times slots hi mid;
+    let pt = Array.unsafe_get times mid in
+    let po = Array.unsafe_get slots mid land order_mask in
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while
+        let ti = Array.unsafe_get times !i in
+        ti < pt || (ti = pt && Array.unsafe_get slots !i land order_mask < po)
+      do
+        incr i
+      done;
+      while
+        let tj = Array.unsafe_get times !j in
+        pt < tj || (tj = pt && po < Array.unsafe_get slots !j land order_mask)
+      do
+        decr j
+      done;
+      if !i <= !j then begin
+        fan_swap times slots !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    sort_fan times slots lo !j;
+    sort_fan times slots !i hi
+  end
+
+(* Whether every copy of [src]'s next fan-out arrives at one instant. *)
+let constant_fan t ~src =
+  let net = t.network in
+  (not t.filter_installed)
+  && (not t.delay_installed)
+  && net.Network.bandwidth_bps = None
+  && net.Network.drop_prob = 0.
+  && net.Network.duplicate_prob = 0.
+  && (match net.Network.latency with
+     | Latency.Uniform { jitter; _ } -> jitter <= 0.
+     | Latency.Matrix _ -> false)
+  && (net.Network.pre_gst_extra = 0.
+     || fmax t.clock (Array.unsafe_get t.egress_free src) >= net.Network.gst)
+
+(* The captureless multicast: the n - 1 copies as one [Fan] heap entry. *)
+let fan_out t ~src ~size msg =
+  let f = acquire_fan t ~src msg in
+  let count = ref 0 in
+  f.f_constant <- constant_fan t ~src;
+  if f.f_constant then begin
+    (* Zero serialization time: the egress link frees at [start], matching
+       n - 1 [Network.delivery_into] calls, and each copy arrives [base]
+       later. *)
+    let start = fmax t.clock (Array.unsafe_get t.egress_free src) in
+    Array.unsafe_set t.egress_free src start;
+    (match t.network.Network.latency with
+    | Latency.Uniform { base; _ } ->
+        Array.unsafe_set f.f_times 0 (start +. base)
+    | Latency.Matrix _ -> assert false);
+    let slots = f.f_slots in
+    for dst = 0 to t.n - 1 do
+      if dst <> src then begin
+        let k = !count in
+        Array.unsafe_set slots k
+          (fan_slot ~epoch:(Array.unsafe_get t.epochs dst) ~copy:k ~dst);
+        count := k + 1
+      end
+    done
+  end
+  else begin
+    let sorted = ref true in
+    let may_dup = t.network.Network.duplicate_prob > 0. in
+    for dst = 0 to t.n - 1 do
+      if dst <> src then begin
+        let k = !count in
+        if may_dup && k + 2 > Array.length f.f_times then begin
+          let cap = 2 * Array.length f.f_times in
+          let times = Array.make cap 0. and slots = Array.make cap 0 in
+          Array.blit f.f_times 0 times 0 k;
+          Array.blit f.f_slots 0 slots 0 k;
+          f.f_times <- times;
+          f.f_slots <- slots
+        end;
+        let times = f.f_times in
+        let copies = arrivals t ~src ~dst ~size times k in
+        if copies > 0 then begin
+          let epoch = Array.unsafe_get t.epochs dst in
+          for c = k to k + copies - 1 do
+            Array.unsafe_set f.f_slots c (fan_slot ~epoch ~copy:c ~dst);
+            if
+              c > 0
+              && Array.unsafe_get times c < Array.unsafe_get times (c - 1)
+            then sorted := false
+          done;
+          count := k + copies
+        end
+      end
+    done;
+    if not !sorted then sort_fan f.f_times f.f_slots 0 (!count - 1)
+  end;
+  let count = !count in
+  if count = 0 then release_fan t f
+  else begin
+    f.f_count <- count;
+    f.f_next <- 0;
+    f.f_seq0 <- Event_queue.reserve_seqs t.queue count;
+    Event_queue.push_keyed t.queue f.f_times 0
+      ~seq:(f.f_seq0 + copy_of (Array.unsafe_get f.f_slots 0))
+      f.f_ev
+  end
 
 let multicast t ~src msg =
   if Array.unsafe_get t.down src then ()
@@ -379,49 +666,18 @@ let multicast t ~src msg =
     t.stats.messages_sent <- t.stats.messages_sent + fanout;
     t.stats.bytes_sent <- t.stats.bytes_sent + (size * fanout);
     send_sized t ~src ~dst:src ~size msg;
-    if fanout > 0 then begin
-      let net = t.network in
-      (* When every copy of the fan-out arrives at the same instant —
-         constant latency, no bandwidth serialization, and no per-link
-         instrumentation that could split arrivals — the n - 1 events
-         collapse into one Batch heap entry.  Executing the batch delivers
-         in ascending destination order, which is exactly the order the
-         individual events would have popped in (equal time, consecutive
-         seqs), so the schedule is bit-identical to the general path. *)
-      match net.Network.latency with
-      | Latency.Uniform { base; jitter }
-        when jitter <= 0.
-             && (not t.capture_installed)
-             && (not t.filter_installed)
-             && (not t.delay_installed)
-             && net.Network.bandwidth_bps = None
-             && net.Network.drop_prob = 0.
-             && net.Network.duplicate_prob = 0. ->
-          let start = fmax t.clock (Array.unsafe_get t.egress_free src) in
-          if start >= net.Network.gst || net.Network.pre_gst_extra = 0. then begin
-            (* Zero serialization time: the egress link frees at [start],
-               matching n - 1 [delivery_into] calls. *)
-            Array.unsafe_set t.egress_free src start;
-            let arrival = start +. base in
-            let b = acquire_batch t ~src msg in
-            let slots = b.b_slots in
-            let k = ref 0 in
-            for dst = 0 to t.n - 1 do
-              if dst <> src then begin
-                Array.unsafe_set slots !k
-                  ((Array.unsafe_get t.epochs dst lsl slot_bits) lor dst);
-                incr k
-              end
-            done;
-            b.b_count <- fanout;
-            Event_queue.push t.queue ~time:arrival b.b_ev
-          end
-          else
-            (* Pre-GST extra delay draws per-destination randomness. *)
-            fanout_sends t ~src ~size msg
-      | _ -> fanout_sends t ~src ~size msg
-    end
+    if fanout > 0 then
+      if t.capture_installed then
+        for dst = 0 to t.n - 1 do
+          if dst <> src then send_sized t ~src ~dst ~size msg
+        done
+      else fan_out t ~src ~size msg
   end
+
+let enqueue t ~time ev =
+  match t.capture with
+  | None -> Event_queue.push t.queue ~time ev
+  | Some f -> f ev
 
 let set_timer ?(owner = -1) t delay f =
   if delay < 0. then invalid_arg "Engine.set_timer: negative delay";
@@ -439,6 +695,10 @@ let timer_live t tm =
   && (tm.owner < 0
      || ((not t.down.(tm.owner)) && t.epochs.(tm.owner) = tm.epoch))
 
+(* {2 Execution} *)
+
+(* A standalone event, already off the heap (or dispatched by a capture
+   hook's owner). *)
 let exec t = function
   | Msg c ->
       (* Read the cell into locals, then release it before running protocol
@@ -451,24 +711,68 @@ let exec t = function
       release_cell t c;
       if is_deliver then deliver t ~src ~dst ~epoch msg
       else process t ~src ~dst ~epoch msg
-  | Batch b ->
-      let src = b.b_src and count = b.b_count in
-      let msg = b.b_msg in
-      let slots = b.b_slots in
-      for k = 0 to count - 1 do
-        let slot = Array.unsafe_get slots k in
-        process t ~src ~dst:(slot land slot_mask) ~epoch:(slot lsr slot_bits)
-          msg
-      done;
-      (* Only released after the loop: a handler's nested multicast may
-         acquire a batch, and it must not be this one mid-iteration. *)
-      release_batch t b
+  | Fan _ | Ring _ -> assert false (* never captured; see [inspect] *)
   | Timer tm -> if timer_live t tm then tm.action ()
   | Thunk f -> f ()
 
+(* The fan at the heap's top delivers the run of copies that arrive at
+   its head's instant.  Those copies pop consecutively whatever else is
+   queued: the fan's seqs are one contiguous block, so no other entry can
+   sort between two of its copies of equal time, and whatever the handlers
+   schedule takes a later seq.  A constant-arrival fan therefore drains in
+   one step.  The entry is re-keyed to the next copy (or removed) before
+   protocol code runs, so handlers see a consistent heap; a drained fan is
+   recycled only after the loop, as a handler's own multicast may acquire
+   a fan. *)
+let fan_step t f =
+  let times = f.f_times and slots = f.f_slots and count = f.f_count in
+  let first = f.f_next in
+  let time = Array.unsafe_get times first in
+  let next =
+    if f.f_constant then count
+    else begin
+      let next = ref (first + 1) in
+      while !next < count && Array.unsafe_get times !next = time do
+        incr next
+      done;
+      !next
+    end
+  in
+  if next < count then begin
+    f.f_next <- next;
+    Event_queue.replace_top t.queue times next
+      ~seq:(f.f_seq0 + copy_of (Array.unsafe_get slots next))
+  end
+  else ignore (Event_queue.take t.queue : 'msg event);
+  let src = f.f_src and msg = f.f_msg in
+  (* The run loop counted the first copy. *)
+  t.stats.events_processed <- t.stats.events_processed + (next - first - 1);
+  for k = first to next - 1 do
+    let slot = Array.unsafe_get slots k in
+    process t ~src ~dst:(slot land node_mask) ~epoch:(slot lsr epoch_shift)
+      msg
+  done;
+  if next = count then release_fan t f
+
+(* The CPU ring at the heap's top hands its head to the handler. *)
+let ring_step t r =
+  let h = r.r_head in
+  let from = Array.unsafe_get r.r_from h and msg = Array.unsafe_get r.r_msg h in
+  let len = r.r_len - 1 in
+  r.r_len <- len;
+  if len > 0 then begin
+    let h = (h + 1) land (Array.length r.r_finish - 1) in
+    r.r_head <- h;
+    Event_queue.replace_top t.queue r.r_finish h
+      ~seq:(Array.unsafe_get r.r_seq h)
+  end
+  else ignore (Event_queue.take t.queue : 'msg event);
+  deliver t ~src:(from land node_mask) ~dst:r.r_dst ~epoch:(from lsr node_bits)
+    msg
+
 let pending_live t = function
   | Msg c -> (not t.down.(c.c_dst)) && t.epochs.(c.c_dst) = c.c_epoch
-  | Batch _ -> assert false (* never captured; see [inspect] *)
+  | Fan _ | Ring _ -> assert false (* never captured; see [inspect] *)
   | Timer tm -> timer_live t tm
   | Thunk _ -> true
 
@@ -480,25 +784,28 @@ let advance_clock t time =
   if time < t.clock then invalid_arg "Engine.advance_clock: time in the past";
   t.clock <- time
 
+(* Each delivered message is one event, whether it came from a cell, a fan
+   or a ring ([fan_step] counts the rest of its run). *)
 let run t ~until =
+  let q = t.queue in
   let rec loop () =
-    if Event_queue.is_empty t.queue then
+    if Event_queue.is_empty q then
       (* The run nominally reaches [until] even when no event is left:
          leaving the clock at the last event's time would make a
          subsequent [now] or [set_timer] act in the past. *)
       t.clock <- fmax t.clock until
     else begin
-      let time = Event_queue.min_time t.queue in
+      let time = Event_queue.min_time q in
       if time > until then t.clock <- until
       else begin
-        let ev = Event_queue.take t.queue in
         t.clock <- time;
-        (* A batch is [b_count] logical message events; read before [exec]
-           recycles it. *)
-        t.stats.events_processed <-
-          (t.stats.events_processed
-          + match ev with Batch b -> b.b_count | Msg _ | Timer _ | Thunk _ -> 1);
-        exec t ev;
+        t.stats.events_processed <- t.stats.events_processed + 1;
+        (match Event_queue.top q with
+        | Fan f -> fan_step t f
+        | Ring r -> ring_step t r
+        | (Msg _ | Timer _ | Thunk _) as ev ->
+            ignore (Event_queue.take q : 'msg event);
+            exec t ev);
         loop ()
       end
     end

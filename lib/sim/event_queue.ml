@@ -56,20 +56,6 @@ let set_capacity t cap =
 
 let grow t = set_capacity t (2 * Array.length t.times)
 
-(* Bulk-push support: one capacity check for a whole multicast fan-out
-   instead of one per push. *)
-let reserve t extra =
-  if extra > 0 then begin
-    let needed = t.size + extra in
-    if needed > Array.length t.times then begin
-      let cap = ref (2 * Array.length t.times) in
-      while !cap < needed do
-        cap := 2 * !cap
-      done;
-      set_capacity t !cap
-    end
-  end
-
 let sift_up t i0 =
   let times = t.times and seqs = t.seqs and values = t.values in
   let time = Array.unsafe_get times i0 in
@@ -131,19 +117,60 @@ let sift_down t i0 =
   Array.unsafe_set seqs !i seq;
   Array.unsafe_set values !i v
 
-let push t ~time value =
-  if not (Float.is_finite time) then invalid_arg "Event_queue.push: bad time";
+(* Index of a free slot at the end of the heap, growing it if full.  The
+   caller fills the slot's time and seq, bumps [size] and sifts up. *)
+let claim t value =
   if t.size = Array.length t.times then grow t;
   if Array.length t.values = 0 then
     t.values <- Array.make (Array.length t.times) value;
-  let i = t.size in
-  (* [i] is below capacity after the grow check. *)
+  t.size
+
+let push t ~time value =
+  if not (Float.is_finite time) then invalid_arg "Event_queue.push: bad time";
+  let i = claim t value in
+  (* [i] is below capacity after [claim]. *)
   Array.unsafe_set t.times i time;
   Array.unsafe_set t.seqs i t.next_seq;
   Array.unsafe_set t.values i value;
   t.next_seq <- t.next_seq + 1;
   t.size <- i + 1;
   sift_up t i
+
+let reserve_seqs t k =
+  if k < 0 then invalid_arg "Event_queue.reserve_seqs: negative count";
+  let first = t.next_seq in
+  t.next_seq <- first + k;
+  first
+
+(* The key is read from [keys.(k)] here rather than passed as a float
+   argument: a float crossing a non-inlined call is boxed. *)
+let push_keyed t keys k ~seq value =
+  let time = keys.(k) in
+  if not (Float.is_finite time) then
+    invalid_arg "Event_queue.push_keyed: bad time";
+  if seq < 0 || seq >= t.next_seq then
+    invalid_arg "Event_queue.push_keyed: unreserved seq";
+  let i = claim t value in
+  Array.unsafe_set t.times i time;
+  Array.unsafe_set t.seqs i seq;
+  Array.unsafe_set t.values i value;
+  t.size <- i + 1;
+  sift_up t i
+
+let top t =
+  if t.size = 0 then invalid_arg "Event_queue.top: empty";
+  Array.unsafe_get t.values 0
+
+let replace_top t keys k ~seq =
+  let time = keys.(k) in
+  if t.size = 0 then invalid_arg "Event_queue.replace_top: empty";
+  if not (Float.is_finite time) then
+    invalid_arg "Event_queue.replace_top: bad time";
+  if seq < 0 || seq >= t.next_seq then
+    invalid_arg "Event_queue.replace_top: unreserved seq";
+  Array.unsafe_set t.times 0 time;
+  Array.unsafe_set t.seqs 0 seq;
+  sift_down t 0
 
 let is_empty t = t.size = 0
 let size t = t.size

@@ -27,10 +27,8 @@ let serialization_ms t ~size =
   | None -> 0.
   | Some bps -> float_of_int size *. 8. /. bps *. 1000.
 
-(* The simulator's per-message path.  [egress.(src)] is read and written in
-   place (unboxed float-array traffic) and only the arrival time crosses the
-   call boundary, so a send costs two float boxes instead of the five a
-   tupled return would. *)
+(* [egress.(src)] is read and written in place (unboxed float-array
+   traffic) and only the arrival time crosses the call boundary. *)
 let delivery_into t rng ~now ~egress ~src ~dst ~size =
   let start = Float.max now (Array.unsafe_get egress src) in
   let egress_end = start +. serialization_ms t ~size in
@@ -43,17 +41,3 @@ let delivery_into t rng ~now ~egress ~src ~dst ~size =
        requires delivery within Delta of max(send time, GST). *)
     let delayed = base +. Rng.float rng t.pre_gst_extra in
     Float.min delayed (Float.max base (t.gst +. t.delta))
-
-let delivery t rng ~now ~egress_free ~src ~dst ~size =
-  let start = Float.max now egress_free in
-  let egress_end = start +. serialization_ms t ~size in
-  let propagation = Latency.sample t.latency rng ~src ~dst in
-  let base = egress_end +. propagation in
-  let arrival =
-    if start >= t.gst || t.pre_gst_extra = 0. then base
-    else
-      let delayed = base +. Rng.float rng t.pre_gst_extra in
-      Float.min delayed (Float.max base (t.gst +. t.delta))
-  in
-  (egress_end, arrival)
-

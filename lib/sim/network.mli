@@ -50,23 +50,12 @@ val make :
 (** Serialization time of [size] bytes on the egress link, ms. *)
 val serialization_ms : t -> size:int -> float
 
-(** [delivery t rng ~now ~egress_free ~src ~dst ~size] computes
-    [(egress_busy_until, delivery_time)] for a message handed to the network
-    at [now] whose sender's egress is free from [egress_free]. *)
-val delivery :
-  t ->
-  Rng.t ->
-  now:float ->
-  egress_free:float ->
-  src:int ->
-  dst:int ->
-  size:int ->
-  float * float
-
-(** Same model as {!delivery}, shaped for the engine's per-message hot
-    path: reads and updates [egress.(src)] (the per-node egress-busy-until
-    array) in place and returns only the arrival time, so nothing but two
-    floats is boxed per call. *)
+(** [delivery_into t rng ~now ~egress ~src ~dst ~size] is the arrival
+    time of a [size]-byte message from [src] to [dst] handed to the network
+    at [now].  [egress.(src)] is the sender's egress-busy-until time: the
+    message is serialized after it (FIFO) and it is updated in place.
+    Draws the propagation latency and, before GST, the adversarial extra
+    delay from [rng], in that order. *)
 val delivery_into :
   t ->
   Rng.t ->

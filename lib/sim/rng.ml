@@ -1,18 +1,31 @@
-type t = { mutable state : int64 }
+(* splitmix64.  The 64-bit state lives in an 8-byte buffer and is read and
+   written with the unboxed bytes primitives, so a draw allocates no
+   [Int64] block: with a [mutable state : int64] field every update boxed
+   the new state, and every [next] returned a boxed result. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden = 0x9e3779b97f4a7c15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next t =
-  t.state <- Int64.add t.state golden;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (get64 t 0) golden in
+  set64 t 0 s;
+  mix s
 
-let create seed = { state = mix (Int64.of_int seed) }
-let split t = { state = mix (next t) }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
+
+let create seed = of_state (mix (Int64.of_int seed))
+let split t = of_state (mix (next t))
 
 let float t bound =
   if bound <= 0. then invalid_arg "Rng.float: bound must be positive";

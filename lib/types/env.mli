@@ -34,13 +34,17 @@ type 'msg t = {
       (** Observability hook: node-internal protocol events (vote sends,
           certificate assembly, timeouts — see {!Probe}).  [None] outside
           traced runs; instrumented code must not build events when unset
-          (use {!emit}). *)
+          (guard with {!tracing}). *)
 }
 
-(** [emit env ev] calls the probe with [ev ()] when one is installed; when
-    [probe = None] the thunk is never forced, so a disabled probe costs one
-    comparison (plus the thunk closure) and allocates no event. *)
-val emit : 'msg t -> (unit -> Probe.event) -> unit
+(** Whether a probe is installed.  Instrumented code builds an event only
+    under this guard — [if Env.tracing env then Env.record env (...)] — so
+    a disabled probe costs one comparison and allocates nothing: passing
+    a thunk instead would allocate its closure even when [probe = None]. *)
+val tracing : 'msg t -> bool
+
+(** [record env ev] hands [ev] to the probe, if one is installed. *)
+val record : 'msg t -> Probe.event -> unit
 
 (** {2 Byzantine-behaviour wrappers}
 

@@ -62,48 +62,121 @@ let test_queue_take () =
   Alcotest.check_raises "take on empty" (Invalid_argument "Event_queue.take: empty")
     (fun () -> ignore (Event_queue.take q : string))
 
-(* Random push/pop interleavings against a reference model: a sorted
-   association list keyed (time, push sequence number).  Catches any heap
-   restructuring that loses the FIFO tie-break or global time order. *)
+(* Random operation sequences against a reference model: a sorted list
+   keyed (time, seq).  Besides push and pop, the sequences reserve blocks
+   of seqs and push them out of order with [push_keyed], and re-key the
+   earliest event with [replace_top] — the operations the engine's
+   multicast fans and CPU rings are built on.  Catches any heap
+   restructuring that loses the seq tie-break or global time order. *)
+type queue_op =
+  | Push of float
+  | Pop
+  | Push_reserved of float list  (* reserve, then push in reverse seq order *)
+  | Replace_top of float * bool  (* [true]: a fresh seq; [false]: the old one *)
+
 let prop_queue_matches_model =
+  (* Times drawn from a small set so ties are common. *)
+  let time = QCheck.Gen.oneofl [ 0.; 1.; 1.; 2.; 5.; 5.; 9. ] in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun t -> Push t) time);
+          (4, return Pop);
+          (1, map (fun ts -> Push_reserved ts) (list_size (int_bound 4) time));
+          (2, map2 (fun t fresh -> Replace_top (t, fresh)) time bool);
+        ])
+  in
+  let show = function
+    | Push t -> Printf.sprintf "push %g" t
+    | Pop -> "pop"
+    | Push_reserved ts ->
+        "reserved [" ^ String.concat ";" (List.map string_of_float ts) ^ "]"
+    | Replace_top (t, fresh) -> Printf.sprintf "replace_top %g %b" t fresh
+  in
   let gen =
-    QCheck.(
-      list (pair (oneofl [ 0.; 1.; 1.; 2.; 5.; 5.; 9. ]) bool)
-      (* times drawn from a small set so ties are common; the bool picks
-         push vs pop *))
+    QCheck.make
+      ~print:(fun ops -> String.concat ", " (List.map show ops))
+      QCheck.Gen.(list op)
   in
   QCheck.Test.make ~name:"event queue matches reference model" ~count:300 gen
     (fun ops ->
       let q = Event_queue.create () in
-      let model = ref [] (* sorted by (time, seq) ascending *) in
-      let next = ref 0 in
-      let insert time v =
+      let model = ref [] (* (time, seq, value), sorted by (time, seq) *) in
+      let next = ref 0 (* the model's next seq *) in
+      let insert time seq v =
         let rec go = function
-          | [] -> [ (time, v) ]
-          | ((t, _) as hd) :: tl when t <= time -> hd :: go tl
-          | rest -> (time, v) :: rest
+          | [] -> [ (time, seq, v) ]
+          | ((t, s, _) as hd) :: tl when t < time || (t = time && s < seq) ->
+              hd :: go tl
+          | rest -> (time, seq, v) :: rest
         in
         model := go !model
       in
+      let agrees () =
+        Event_queue.size q = List.length !model
+        &&
+        match !model with
+        | [] -> Event_queue.is_empty q
+        | (t, _, v) :: _ -> Event_queue.min_time q = t && Event_queue.top q = v
+      in
       List.for_all
-        (fun (time, is_push) ->
-          if is_push then begin
-            let v = !next in
-            incr next;
-            Event_queue.push q ~time v;
-            insert time v;
-            Event_queue.size q = List.length !model
-            && Event_queue.min_time q = fst (List.hd !model)
-          end
-          else
-            match (Event_queue.pop q, !model) with
-            | None, [] -> true
-            | Some (t, v), (t', v') :: rest ->
-                model := rest;
-                t = t' && v = v'
-            | Some _, [] | None, _ :: _ -> false)
-        ops
-      && Event_queue.size q = List.length !model)
+        (fun op ->
+          (match op with
+          | Push time ->
+              Event_queue.push q ~time !next;
+              insert time !next !next;
+              incr next;
+              true
+          | Pop -> (
+              match (Event_queue.pop q, !model) with
+              | None, [] -> true
+              | Some (t, v), (t', _, v') :: rest ->
+                  model := rest;
+                  t = t' && v = v'
+              | Some _, [] | None, _ :: _ -> false)
+          | Push_reserved times ->
+              let k = List.length times in
+              let first = Event_queue.reserve_seqs q k in
+              let ok = first = !next in
+              next := !next + k;
+              List.rev (List.mapi (fun i t -> (first + i, t)) times)
+              |> List.iter (fun (seq, time) ->
+                     Event_queue.push_keyed q [| time |] 0 ~seq seq;
+                     insert time seq seq);
+              ok
+          | Replace_top (time, fresh) -> (
+              match !model with
+              | [] -> true
+              | (_, seq, v) :: rest ->
+                  let seq = if fresh then Event_queue.reserve_seqs q 1 else seq in
+                  if fresh then incr next;
+                  Event_queue.replace_top q [| time |] 0 ~seq;
+                  model := rest;
+                  insert time seq v;
+                  true))
+          && agrees ())
+        ops)
+
+let test_queue_keyed_checks () =
+  let q = Event_queue.create () in
+  Alcotest.check_raises "unreserved seq"
+    (Invalid_argument "Event_queue.push_keyed: unreserved seq") (fun () ->
+      Event_queue.push_keyed q [| 1. |] 0 ~seq:0 "x");
+  let seq = Event_queue.reserve_seqs q 1 in
+  Alcotest.check_raises "bad time"
+    (Invalid_argument "Event_queue.push_keyed: bad time") (fun () ->
+      Event_queue.push_keyed q [| Float.infinity |] 0 ~seq "x");
+  Alcotest.check_raises "replace on empty"
+    (Invalid_argument "Event_queue.replace_top: empty") (fun () ->
+      Event_queue.replace_top q [| 1. |] 0 ~seq);
+  Event_queue.push_keyed q [| 3. |] 0 ~seq "a";
+  Event_queue.push q ~time:3. "b";
+  check "reserved seq orders before later pushes" true
+    (Event_queue.top q = "a");
+  Event_queue.replace_top q [| 3. |] 0 ~seq:(Event_queue.reserve_seqs q 1);
+  check "re-keyed with a later seq, the tie flips" true
+    (Event_queue.take q = "b" && Event_queue.take q = "a")
 
 (* --- RNG ------------------------------------------------------------------------ *)
 
@@ -202,12 +275,16 @@ let test_serialization_delay () =
 let test_egress_serializes () =
   let net = uniform_net ~bandwidth_bps:8e6 () in
   let rng = Rng.create 1 in
-  let e1, a1 =
-    Network.delivery net rng ~now:0. ~egress_free:0. ~src:0 ~dst:1 ~size:1000
+  (* [egress.(src)] is the sender's egress-busy-until, updated in place. *)
+  let egress = [| 0. |] in
+  let a1 =
+    Network.delivery_into net rng ~now:0. ~egress ~src:0 ~dst:1 ~size:1000
   in
-  let e2, a2 =
-    Network.delivery net rng ~now:0. ~egress_free:e1 ~src:0 ~dst:2 ~size:1000
+  let e1 = egress.(0) in
+  let a2 =
+    Network.delivery_into net rng ~now:0. ~egress ~src:0 ~dst:2 ~size:1000
   in
+  let e2 = egress.(0) in
   check_float "first egress busy until 1ms" 1. e1;
   check_float "second queued behind first" 2. e2;
   check_float "first arrives at 11ms" 11. a1;
@@ -218,8 +295,9 @@ let test_pre_gst_delay_bounded () =
   let rng = Rng.create 1 in
   let ok = ref true in
   for _ = 1 to 200 do
-    let _, arrival =
-      Network.delivery net rng ~now:0. ~egress_free:0. ~src:0 ~dst:1 ~size:10
+    let arrival =
+      Network.delivery_into net rng ~now:0. ~egress:[| 0. |] ~src:0 ~dst:1
+        ~size:10
     in
     (* Delivery within Delta of GST at the latest, never before base. *)
     if arrival > 1000. +. 50. || arrival < 10. then ok := false
@@ -229,8 +307,9 @@ let test_pre_gst_delay_bounded () =
 let test_post_gst_no_extra () =
   let net = uniform_net ~gst:1000. ~pre_gst_extra:10_000. () in
   let rng = Rng.create 1 in
-  let _, arrival =
-    Network.delivery net rng ~now:2000. ~egress_free:0. ~src:0 ~dst:1 ~size:10
+  let arrival =
+    Network.delivery_into net rng ~now:2000. ~egress:[| 0. |] ~src:0 ~dst:1
+      ~size:10
   in
   check_float "post-GST delivery is just latency" 2010. arrival
 
@@ -443,6 +522,135 @@ let test_drop_prob_validated () =
        false
      with Invalid_argument _ -> true)
 
+
+(* --- Golden delivery order --------------------------------------------------------- *)
+
+(* A fixed workload per network model, digested as the stream of
+   deliveries the tap sees (exact time, src, dst) plus the engine's event
+   and message counters.  The expected values were recorded on the
+   one-heap-event-per-copy engine, so any scheduling change that reorders
+   a single delivery — a lost (time, seq) tie-break, a CPU queue entry
+   re-keyed with a fresh seq, a changed RNG draw order — fails here.
+
+   Every node multicasts a fresh message every 10 ms; a receiver relays
+   each message for two further hops, by multicast on one node in eight
+   and by unicast otherwise, so fan-outs, unicasts, CPU backlogs and
+   timers all interleave. *)
+let golden_run ?cpu_cost ?(setup = fun _ ~handler:_ -> ()) network =
+  let n = 16 in
+  let e =
+    Engine.create ~n ~network ~seed:7
+      ~msg_size:(fun m -> 64 + (m mod 5 * 300))
+      ?cpu_cost ()
+  in
+  let buf = Buffer.create (1 lsl 16) in
+  Engine.set_delivery_tap e (fun ~time ~src ~dst _ ->
+      Printf.bprintf buf "%h %d %d\n" time src dst);
+  let handler i ~src:_ m =
+    let hop = m / 1000 in
+    if hop < 2 then
+      if (i + hop) mod 8 = 0 then Engine.multicast e ~src:i (m + 1000)
+      else Engine.send e ~src:i ~dst:((i + 1 + hop) mod n) (m + 1000)
+  in
+  for i = 0 to n - 1 do
+    Engine.set_handler e i (handler i)
+  done;
+  for k = 0 to 7 do
+    for i = 0 to n - 1 do
+      Engine.schedule_at e
+        ((10. *. float_of_int k) +. (0.25 *. float_of_int i))
+        (fun () -> Engine.multicast e ~src:i ((k * n) + i))
+    done
+  done;
+  setup e ~handler;
+  Engine.run e ~until:5000.;
+  let s = Engine.stats e in
+  ( Digest.to_hex (Digest.string (Buffer.contents buf)),
+    s.Engine.events_processed,
+    s.Engine.messages_sent )
+
+let wan_table = [| [| 1.; 40.; 90. |]; [| 40.; 2.; 60. |]; [| 90.; 60.; 3. |] |]
+
+let golden_net ?bandwidth_bps ?gst ?pre_gst_extra ?duplicate_prob ?drop_prob
+    ?(delta = 50.) latency =
+  Network.make ?bandwidth_bps ?gst ?pre_gst_extra ?duplicate_prob ?drop_prob
+    ~latency ~delta ()
+
+let flat = Latency.Uniform { base = 10.; jitter = 0. }
+let jittered = Latency.Uniform { base = 10.; jitter = 5. }
+let wan = Latency.Matrix { table = wan_table; region_of = (fun i -> i mod 3) }
+
+let golden_cases =
+  [
+    ("uniform zero jitter", fun () -> golden_run (golden_net flat));
+    ("uniform jitter", fun () -> golden_run (golden_net jittered));
+    ("wan matrix", fun () -> golden_run (golden_net ~delta:100. wan));
+    ( "bandwidth",
+      fun () ->
+        golden_run
+          (golden_net ~bandwidth_bps:8e6
+             (Latency.Uniform { base = 10.; jitter = 2. })) );
+    ( "cpu model",
+      fun () ->
+        golden_run
+          ~cpu_cost:(fun m -> if m mod 2 = 0 then 1. else 0.5)
+          (golden_net flat) );
+    ( "cpu wan",
+      fun () ->
+        golden_run
+          ~cpu_cost:(fun m -> 0.25 +. (0.125 *. float_of_int (m mod 3)))
+          (golden_net ~bandwidth_bps:1e9 ~delta:100. wan) );
+    ( "drop + dup",
+      fun () ->
+        golden_run (golden_net ~drop_prob:0.1 ~duplicate_prob:0.3 flat) );
+    ( "pre-GST extra",
+      fun () -> golden_run (golden_net ~gst:60. ~pre_gst_extra:100. flat) );
+    ( "partition",
+      fun () ->
+        golden_run (golden_net jittered) ~setup:(fun e ~handler:_ ->
+            Engine.set_link_filter e (fun ~src ~dst ~now ->
+                now >= 50. || (src < 8) = (dst < 8))) );
+    ( "delay overlay",
+      fun () ->
+        golden_run (golden_net flat) ~setup:(fun e ~handler:_ ->
+            Engine.set_link_delay e (fun ~src ~dst:_ ~now ->
+                if src mod 3 = 0 && now >= 20. && now < 60. then 7. else 0.)) );
+    ( "crash with cpu backlog",
+      fun () ->
+        golden_run ~cpu_cost:(fun _ -> 3.) (golden_net flat)
+          ~setup:(fun e ~handler ->
+            Engine.schedule_at e 30. (fun () -> Engine.crash e 5);
+            Engine.schedule_at e 32. (fun () ->
+                Engine.recover e 5;
+                Engine.set_handler e 5 (handler 5))) );
+  ]
+
+(* (tap-stream MD5, events_processed, messages_sent) per case. *)
+let golden_expected =
+  [
+    ("uniform zero jitter", ("edfd124b44696529c70f45cbd5fb8c6e", 25472, 24192));
+    ("uniform jitter", ("551c07bcdd24ce466c5ae12bea3f0c39", 25472, 24192));
+    ("wan matrix", ("b00ef3732b01c6266df58636e80cef26", 25472, 24192));
+    ("bandwidth", ("66a2554a7e0eb5943c992b30f225ca2c", 25472, 24192));
+    ("cpu model", ("b61245caf25de7415765eb5e76bcd801", 49664, 24192));
+    ("cpu wan", ("26ab7b177f1bc67ae340b3e585a974db", 49664, 24192));
+    ("drop + dup", ("05e6d7c51465f62a97fbdf52c3be5f38", 38149, 31234));
+    ("pre-GST extra", ("37496ee5ac09fc1862a93d9dacc4c89a", 25472, 24192));
+    ("partition", ("93f65f0138d7f1502206187a74e33f62", 14524, 15714));
+    ("delay overlay", ("4a076614c3d0064e83f5787313b1421f", 25472, 24192));
+    ("crash with cpu backlog", ("636b161fd9579860227bee1b9a76ea95", 49041, 23898));
+  ]
+
+let test_golden_delivery_order () =
+  List.iter
+    (fun (name, run) ->
+      let digest, events, msgs = run () in
+      let want_digest, want_events, want_msgs = List.assoc name golden_expected in
+      Alcotest.(check string) (name ^ ": delivery stream") want_digest digest;
+      check_int (name ^ ": events processed") want_events events;
+      check_int (name ^ ": messages sent") want_msgs msgs)
+    golden_cases
+
 let () =
   Alcotest.run "sim"
     [
@@ -454,6 +662,7 @@ let () =
           Alcotest.test_case "growth" `Quick test_queue_grows;
           Alcotest.test_case "rejects nan" `Quick test_queue_rejects_nan;
           Alcotest.test_case "min_time/take" `Quick test_queue_take;
+          Alcotest.test_case "reserved seqs" `Quick test_queue_keyed_checks;
           QCheck_alcotest.to_alcotest prop_queue_matches_model;
         ] );
       ( "rng",
@@ -503,5 +712,7 @@ let () =
           Alcotest.test_case "drop" `Quick test_engine_drop;
           Alcotest.test_case "drop prob validated" `Quick
             test_drop_prob_validated;
+          Alcotest.test_case "golden delivery order" `Quick
+            test_golden_delivery_order;
         ] );
     ]
